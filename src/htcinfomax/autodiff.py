@@ -265,8 +265,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
 
     def back(g, a=a, b=b):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), back, "matmul")
 
@@ -279,8 +281,10 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"bmm: incompatible shapes {a.shape} @ {b.shape}")
 
     def back(g, a=a, b=b):
-        _accum(a, g @ b.data.swapaxes(1, 2))
-        _accum(b, a.data.swapaxes(1, 2) @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.swapaxes(1, 2))
+        if b.requires_grad:
+            _accum(b, a.data.swapaxes(1, 2) @ g)
 
     return _make(a.data @ b.data, (a, b), back, "bmm")
 

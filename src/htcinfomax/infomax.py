@@ -40,6 +40,12 @@ class MIDiscriminator:
     then linear (512 + d_y)->512->512->1 with relu on the first two.  The
     final layer has no activation; probabilities are formed in the loss
     from the logit, which keeps the log terms finite.
+
+    conv2 and lin1 are linear in their input and are computed in the
+    cheaper of two orders that are equal by exact identities, with the
+    layer shapes above unchanged: pool, then project (conv2 after the
+    masked mean, `pool_text`) and project, then gather (lin1 once per
+    document and once per label before the pairs are formed, `score_pairs`).
     """
 
     def __init__(self, text_dim: int, label_dim: int, hidden: int,
@@ -72,32 +78,71 @@ class MIDiscriminator:
             p.data[...] = 0.0
 
     def pool_text(self, token_feats: Tensor, mask: np.ndarray) -> Tensor:
-        """Conv stack plus mask-aware mean pooling: [B,S,d_t] -> [B,hidden]."""
-        h = ad.relu(ad.add(ad.conv1d(token_feats, self.conv1_kernel), self.conv1_bias))
-        h = ad.add(ad.conv1d(h, self.conv2_kernel), self.conv2_bias)
-        return ad.masked_mean(h, mask)
+        """Conv stack plus mask-aware mean pooling: [B,S,d_t] -> [B,hidden].
 
-    def score_pairs(self, pooled_text: Tensor, label_reps: Tensor) -> Tensor:
-        """Logits for row-aligned (pooled text, label representation) pairs."""
-        joined = ad.concat([pooled_text, label_reps], axis=1)
-        h = ad.relu(ad.add(ad.matmul(joined, self.lin1_w), self.lin1_b))
+        Equal to masked_mean(conv2(h) + b2) with h = relu(conv1(x) + b1)
+        zeroed on padded positions, so a document's result does not depend
+        on how wide its batch was padded.  conv2 has no activation, so the
+        mean is taken first: tap t of conv2 sees h shifted by t - left, and
+        the masked mean of that shifted h is one row of a [k, S] weight
+        matrix times h.  The k shifted means, side by side, meet the
+        flattened [k*d_t, hidden] kernel in a [B, k*d_t] GEMM instead of
+        the [B*S, k*d_t] one of a convolution.
+        """
+        h = ad.relu(ad.add(ad.conv1d(token_feats, self.conv1_kernel), self.conv1_bias))
+        h = ad.apply_mask(h, mask)
+        k, channels, hidden = self.conv2_kernel.shape
+        shifted = ad.bmm(Tensor(_shifted_mean_weights(mask, k)), h)
+        flat = ad.reshape(shifted, (h.shape[0], k * channels))
+        kernel = ad.reshape(self.conv2_kernel, (k * channels, hidden))
+        return ad.add(ad.matmul(flat, kernel), self.conv2_bias)
+
+    def score_pairs(self, doc_idx: np.ndarray, label_idx: np.ndarray,
+                    pooled_text: Tensor, label_reps: Tensor) -> Tensor:
+        """Logits [P, 1] for the pairs (pooled_text[doc_idx[p]], label_reps[label_idx[p]]).
+
+        lin1 of a joined pair is [text, 0] @ W + [0, label] @ W + b, so the
+        B documents and N labels are projected once each, as the rows of
+        one block-diagonal input, and each pair adds its two projected
+        rows (a 0/1 selector GEMM) instead of running lin1 on P joined rows.
+        """
+        batch, hidden = pooled_text.shape
+        count, label_dim = label_reps.shape
+        blocks = ad.concat([
+            ad.concat([pooled_text, Tensor(np.zeros((batch, label_dim)))], axis=1),
+            ad.concat([Tensor(np.zeros((count, hidden))), label_reps], axis=1),
+        ], axis=0)
+        projected = ad.matmul(blocks, self.lin1_w)
+        rows = np.arange(len(doc_idx))
+        selector = np.zeros((len(doc_idx), batch + count))
+        selector[rows, doc_idx] = 1.0
+        selector[rows, batch + label_idx] = 1.0
+        h = ad.relu(ad.add(ad.matmul(Tensor(selector), projected), self.lin1_b))
         h = ad.relu(ad.add(ad.matmul(h, self.lin2_w), self.lin2_b))
         return ad.add(ad.matmul(h, self.lin3_w), self.lin3_b)
 
-    def __call__(self, token_feats: Tensor, label_rep: Tensor,
-                 mask: np.ndarray | None = None) -> Tensor:
-        """Score a single (sequence, label) pair to a scalar logit."""
-        if token_feats.ndim != 2:
-            raise ad.DimensionError(f"expected [S, d_t] token features, got {token_feats.shape}")
-        if label_rep.ndim != 1:
-            raise ad.DimensionError(f"expected a single label vector, got {label_rep.shape}")
-        seq_len = token_feats.shape[0]
-        if mask is None:
-            mask = np.ones((1, seq_len))
-        batched = ad.reshape(token_feats, (1,) + token_feats.shape)
-        pooled = self.pool_text(batched, np.asarray(mask).reshape(1, seq_len))
-        logits = self.score_pairs(pooled, ad.reshape(label_rep, (1, label_rep.shape[0])))
-        return ad.reshape(logits, ())
+
+def _shifted_mean_weights(mask: np.ndarray, k: int) -> np.ndarray:
+    """[B, k, S] weights whose row (b, t) averages tap t of a same-length
+    width-k conv over the unmasked positions of sequence b.
+
+    Tap t reads position s + t - left for output s (left = (k-1)//2, zero
+    padding outside the sequence), so its weight on position j is the
+    masked-mean weight of s = j - t + left.
+    """
+    m = np.asarray(mask, dtype=np.float64)
+    counts = m.sum(axis=1)
+    if np.any(counts == 0):
+        raise ad.DomainError("mean pooling over a fully masked sequence")
+    weights = m / counts[:, None]
+    seq_len = m.shape[1]
+    left = (k - 1) // 2
+    out = np.zeros((m.shape[0], k, seq_len))
+    for tap in range(k):
+        shift = tap - left
+        lo, hi = max(0, shift), min(seq_len, seq_len + shift)
+        out[:, tap, lo:hi] = weights[:, lo - shift:hi - shift]
+    return out
 
 
 class PriorDiscriminator:
@@ -184,17 +229,17 @@ def mi_loss(tf: TextFeatures, lr: LabelRepresentations, targets: np.ndarray,
     the loss is -I, which is 2*ln2 when the discriminator is at chance and
     approaches 0 as it separates the joint from the product of marginals.
     Encoder and discriminator both descend this loss (cooperative).
+
+    The P positive and P negative pairs are scored in one call; with
+    log(1 - D(x)) = logsigmoid(-x) and equal halves, I is twice the mean
+    of logsigmoid(sign * logit) with sign +1 on positives, -1 on negatives.
     """
     pos_doc, label_col, neg_doc = mi_pairs(targets)
     pooled = disc.pool_text(tf.token_feats, tf.mask)
-    pos_text = ad.embedding_lookup(pooled, pos_doc)
-    neg_text = ad.embedding_lookup(pooled, neg_doc)
-    labels = ad.embedding_lookup(lr.matrix, label_col)
-    pos_logits = disc.score_pairs(pos_text, labels)
-    neg_logits = disc.score_pairs(neg_text, labels)
-    info = ad.add(ad.mean(ad.logsigmoid(pos_logits)),
-                  ad.mean(ad.logsigmoid(ad.neg(neg_logits))))
-    return ad.neg(info)
+    logits = disc.score_pairs(np.concatenate([pos_doc, neg_doc]),
+                              np.concatenate([label_col, label_col]), pooled, lr.matrix)
+    sign = np.repeat([1.0, -1.0], len(pos_doc))[:, None]
+    return ad.mul(ad.mean(ad.logsigmoid(ad.mul(logits, Tensor(sign)))), -2.0)
 
 
 def sample_prior(count: int, dim: int, seed: int) -> Tensor:

@@ -10,6 +10,7 @@ from htcinfomax.encoders import (
     TextEncoder,
     multi_label_attention,
 )
+from htcinfomax.infomax import MIDiscriminator
 from htcinfomax.taxonomy import normalized_adjacency, parse_taxonomy
 
 TAX = parse_taxonomy("Root\ta\tb\na\ta1\ta2\nb\tb1\n")
@@ -64,6 +65,19 @@ def test_text_encoder_padding_width_does_not_change_features():
     padded = enc(make_batch([[2, 3, 4], [5, 6, 7, 8, 9, 10]]))
     assert np.allclose(alone.token_feats.data[0], padded.token_feats.data[0, :3])
     assert np.allclose(alone.pooled.data[0], padded.pooled.data[0])
+
+
+def test_mi_pool_text_padding_width_does_not_change_features():
+    # the same 5-token doc padded to width 5 and to width 9; both batches
+    # hold two docs so only the padding width differs between them
+    enc = make_text_encoder()
+    disc = MIDiscriminator(6, 6, 6, np.random.default_rng(1))
+    doc = [2, 3, 4, 5, 6]
+    narrow = enc(make_batch([doc, [7, 8, 9]]))
+    wide = enc(make_batch([doc, [7, 8, 9, 10, 11, 2, 3, 4, 5]]))
+    pooled_narrow = disc.pool_text(narrow.token_feats, narrow.mask).data[0]
+    pooled_wide = disc.pool_text(wide.token_feats, wide.mask).data[0]
+    assert np.array_equal(pooled_narrow, pooled_wide)
 
 
 def test_text_encoder_rejects_indivisible_feature_dim():

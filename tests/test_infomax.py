@@ -53,11 +53,52 @@ def test_prior_discriminator_layer_shapes():
     assert p["lin3.weight"].shape == (5, 1)
 
 
-def test_mi_discriminator_single_pair_scalar_logit():
-    rng = np.random.default_rng(1)
-    disc = MIDiscriminator(4, 4, 8, rng)
-    logit = disc(Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal(4)))
-    assert logit.shape == ()
+def ragged_mask(lengths, width):
+    return (np.arange(width)[None, :] < np.asarray(lengths)[:, None]).astype(float)
+
+
+@pytest.mark.parametrize("kernel_size", [2, 3, 4])
+def test_mi_pool_text_matches_conv_then_masked_mean(kernel_size):
+    # pooling before conv2 is exact: compare with conv2 run on every
+    # position of the masked conv1 output, then a masked mean
+    rng = np.random.default_rng(20 + kernel_size)
+    disc = MIDiscriminator(5, 4, 7, rng, kernel_size=kernel_size)
+    mask = ragged_mask([6, 1, 3, 5], 6)
+    feats = Tensor(rng.standard_normal((4, 6, 5)) * mask[:, :, None])
+    with ad.no_grad():
+        pooled = disc.pool_text(feats, mask).data
+        h = ad.relu(ad.add(ad.conv1d(feats, disc.conv1_kernel), disc.conv1_bias))
+        h = ad.apply_mask(h, mask)
+        conv = ad.add(ad.conv1d(h, disc.conv2_kernel), disc.conv2_bias)
+        oracle = ad.masked_mean(conv, mask).data
+    assert pooled.shape == (4, 7)
+    assert np.abs(pooled - oracle).max() <= 1e-12
+
+
+def test_mi_pool_text_rejects_fully_masked_sequence():
+    rng = np.random.default_rng(24)
+    disc = MIDiscriminator(3, 3, 4, rng)
+    with pytest.raises(ad.DomainError):
+        disc.pool_text(Tensor(rng.standard_normal((2, 3, 3))), ragged_mask([2, 0], 3))
+
+
+def test_mi_score_pairs_matches_lin1_on_joined_pairs():
+    # projecting before the gather is exact: compare with lin1 applied to
+    # the concatenated [text, label] row of every pair
+    rng = np.random.default_rng(25)
+    disc = MIDiscriminator(4, 6, 8, rng)
+    pooled = Tensor(rng.standard_normal((3, 8)))
+    labels = Tensor(rng.standard_normal((5, 6)))
+    doc_idx = np.array([0, 2, 1, 1, 0, 2, 0])
+    label_idx = np.array([4, 4, 0, 3, 1, 2, 4])
+    with ad.no_grad():
+        logits = disc.score_pairs(doc_idx, label_idx, pooled, labels).data
+        joined = ad.concat([Tensor(pooled.data[doc_idx]), Tensor(labels.data[label_idx])], axis=1)
+        lin1 = ad.add(ad.matmul(joined, disc.lin1_w), disc.lin1_b)
+        h = ad.relu(ad.add(ad.matmul(ad.relu(lin1), disc.lin2_w), disc.lin2_b))
+        oracle = ad.add(ad.matmul(h, disc.lin3_w), disc.lin3_b).data
+    assert logits.shape == (7, 1)
+    assert np.abs(logits - oracle).max() <= 1e-12
 
 
 def test_prior_discriminator_outputs_probabilities():
@@ -114,9 +155,9 @@ def test_mi_loss_matches_manual_assembly_from_logits():
 
     pos_doc, label_col, neg_doc = mi_pairs(targets)
     with ad.no_grad():
-        pooled = disc.pool_text(tf.token_feats, tf.mask).data
-        pos = disc.score_pairs(Tensor(pooled[pos_doc]), Tensor(lr.matrix.data[label_col])).data
-        neg = disc.score_pairs(Tensor(pooled[neg_doc]), Tensor(lr.matrix.data[label_col])).data
+        pooled = disc.pool_text(tf.token_feats, tf.mask)
+        pos = disc.score_pairs(pos_doc, label_col, pooled, lr.matrix).data
+        neg = disc.score_pairs(neg_doc, label_col, pooled, lr.matrix).data
 
     def logsig(x):
         return -np.logaddexp(0.0, -x)
@@ -126,16 +167,20 @@ def test_mi_loss_matches_manual_assembly_from_logits():
 
 
 def test_mi_loss_gradients_pass_finite_differences():
+    # a ragged mask routes gradients through the masked shifted means;
+    # every discriminator parameter, conv2 and lin1 included, is checked
     rng = np.random.default_rng(5)
     disc = MIDiscriminator(3, 3, 4, rng)
     tf = make_features(rng, batch=2, seq=4, dim=3)
+    tf.mask = ragged_mask([4, 2], 4)
     lr = make_labels(rng, count=3, dim=3)
     targets = np.array([[1, 0, 0], [0, 1, 1]], dtype=float)
     params = {"feats": tf.token_feats, "labels": lr.matrix}
-    params.update(disc.named_params())
+    params.update({f"mi.{name}": p for name, p in disc.named_params().items()})
 
     report = ad.finite_difference_check(lambda: mi_loss(tf, lr, targets, disc), params)
     assert report.passed, report.summary()
+    assert {"mi.conv2.kernel", "mi.lin1.weight"} <= set(report.max_rel_error)
 
 
 def test_mi_loss_reaches_encoder_and_discriminator():
