@@ -78,52 +78,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
         self.grad = None
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not a primitive; divide by a python scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def backward(self):
-        backward(self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
@@ -387,34 +346,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(s, (a,), back, "sigmoid")
 
 
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-
-    def back(g, a=a, t=t):
-        _accum(a, g * (1.0 - t * t))
-
-    return _make(t, (a,), back, "tanh")
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise DomainError("log requires strictly positive inputs")
-
-    def back(g, a=a):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), back, "log")
-
-
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-
-    def back(g, a=a, e=e):
-        _accum(a, g * e)
-
-    return _make(e, (a,), back, "exp")
-
-
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow."""
     out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
@@ -435,18 +366,6 @@ def logsigmoid(a: Tensor) -> Tensor:
         _accum(a, g * s)
 
     return _make(out, (a,), back, "logsigmoid")
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g, a=a, p=p, axis=axis):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        _accum(a, p * (g - inner))
-
-    return _make(p, (a,), back, "softmax")
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -501,29 +420,6 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
             _accum(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy())
 
     return _make(a.data.mean(axis=axis), (a,), back, "mean")
-
-
-def max_(a: Tensor, axis: int | None = None) -> Tensor:
-    """Max reduction; the gradient routes to the first maximal element."""
-    _check_axis(a, axis)
-    if axis is None:
-        flat_idx = int(a.data.argmax())
-
-        def back_all(g, a=a, flat_idx=flat_idx):
-            buf = np.zeros_like(a.data)
-            buf.reshape(-1)[flat_idx] = g
-            _accum(a, buf)
-
-        return _make(a.data.max(), (a,), back_all, "max")
-
-    idx = a.data.argmax(axis=axis)
-
-    def back(g, a=a, axis=axis, idx=idx):
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-        _accum(a, buf)
-
-    return _make(a.data.max(axis=axis), (a,), back, "max")
 
 
 def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
@@ -631,27 +527,6 @@ def grad_reverse(a: Tensor) -> Tensor:
         _accum(a, -g)
 
     return _make(a.data, (a,), back, "grad_reverse")
-
-
-# -- string-keyed dispatchers -----------------------------------------------------
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    """Apply a named activation: relu, sigmoid, tanh, log, or softmax."""
-    table = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh, "log": log}
-    if kind in table:
-        return table[kind](a)
-    if kind == "softmax":
-        return softmax(a, axis=-1)
-    raise ContractError(f"unknown activation kind {kind!r}")
-
-
-def reduce(a: Tensor, kind: str, axis: int | None = None) -> Tensor:
-    """Apply a named reduction: mean, sum, or max."""
-    table = {"mean": mean, "sum": sum_, "max": max_}
-    if kind not in table:
-        raise ContractError(f"unknown reduction kind {kind!r}")
-    return table[kind](a, axis)
 
 
 # -- verification harness ---------------------------------------------------------

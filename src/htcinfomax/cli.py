@@ -25,9 +25,8 @@ from . import autodiff as ad
 from .dataio import (
     ConfigError,
     DataError,
+    Document,
     GeneratorConfig,
-    Vocabulary,
-    Batch,
     build_vocab_from_file,
     file_sha256,
     generate_synthetic,
@@ -191,8 +190,8 @@ def _build_train_config(args, seed: int, checkpoint_path, log_path) -> TrainConf
     resolved["seed"] = seed
     resolved["checkpoint_path"] = str(checkpoint_path)
     resolved["log_path"] = str(log_path)
-    config = TrainConfig.from_dict(resolved)
     try:
+        config = TrainConfig.from_dict(resolved)
         config.validate()
     except (ValueError, ad.DimensionError) as err:
         raise UsageError(str(err)) from None
@@ -312,17 +311,6 @@ def cmd_eval(args) -> int:
 # -- predict ---------------------------------------------------------------------
 
 
-def _unlabeled_rows(path, vocab: Vocabulary, max_len: int) -> list[list[int]]:
-    """Token-id rows for a corpus whose label field is optional."""
-    rows = []
-    for lineno, record in read_raw_corpus(path):
-        tokens = record.get("token")
-        if not tokens:
-            raise DataError(f"{path}:{lineno}: document has no tokens")
-        rows.append([vocab.lookup(t) for t in tokens[:max_len]])
-    return rows
-
-
 def cmd_predict(args) -> int:
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     data_path = _require_file(args.data, "input corpus")
@@ -334,29 +322,20 @@ def cmd_predict(args) -> int:
     if args.threshold is not None:
         model.head.threshold = args.threshold
     names = model.tax.target_names()
-    rows = _unlabeled_rows(data_path, model.vocab, model.config.max_len)
-    emitted = 0
-    for start in range(0, len(rows), model.config.batch_size):
-        chunk = rows[start:start + model.config.batch_size]
-        width = max(len(r) for r in chunk)
-        ids = np.zeros((len(chunk), width), dtype=np.int64)
-        mask = np.zeros((len(chunk), width), dtype=np.float64)
-        for i, row in enumerate(chunk):
-            ids[i, :len(row)] = row
-            mask[i, :len(row)] = 1.0
-        batch = Batch(token_ids=ids, mask=mask,
-                      targets=np.zeros((len(chunk), model.num_labels)))
+    # labels are optional here and ignored: every document gets an empty label set
+    docs = [Document(tokens=model.vocab.encode(tokens), labels=frozenset())
+            for _, tokens, _ in read_raw_corpus(data_path)]
+    for batch in make_batches(docs, model.config.batch_size, model.config.max_len, model.tax):
         with ad.no_grad():
             preds = model.predict(batch)
-        for i in range(len(chunk)):
+        for i in range(batch.size):
             record = {
                 "labels": [names[j] for j in range(model.num_labels)
                            if preds.decisions[i, j] >= 1.0],
                 "probs": {names[j]: float(preds.probs[i, j]) for j in range(model.num_labels)},
             }
             print(json.dumps(record, sort_keys=True))
-            emitted += 1
-    log.info("predicted %d documents", emitted)
+    log.info("predicted %d documents", len(docs))
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+from collections import Counter
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -62,6 +63,9 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
+    def encode(self, tokens) -> tuple[int, ...]:
+        return tuple(self.lookup(t) for t in tokens)
+
     def to_json(self) -> dict:
         return dict(self.token_to_id)
 
@@ -76,10 +80,9 @@ def build_vocab(docs, min_freq: int = 1) -> Vocabulary:
     (ties broken lexicographically) after PAD and UNK."""
     if min_freq < 1:
         raise DataError("min_freq must be >= 1")
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for tokens in docs:
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
+        counts.update(tokens)
     kept = sorted((t for t, c in counts.items() if c >= min_freq),
                   key=lambda t: (-counts[t], t))
     mapping = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
@@ -88,8 +91,23 @@ def build_vocab(docs, min_freq: int = 1) -> Vocabulary:
     return Vocabulary(mapping)
 
 
+def _is_strings(value) -> bool:
+    # str.join tests the elements in C; this runs on every token read
+    if not isinstance(value, list):
+        return False
+    try:
+        "".join(value)
+    except TypeError:
+        return False
+    return True
+
+
 def read_raw_corpus(path):
-    """Yield (line_number, record) for each JSON-lines document."""
+    """Yield (line_number, tokens, record) for each JSON-lines document.
+
+    A record must be a JSON object whose `token` field is a non-empty list
+    of strings; anything else is a DataError naming path:line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -98,28 +116,35 @@ def read_raw_corpus(path):
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataError(f"{path}:{lineno}: malformed JSON ({err.msg})") from None
-            yield lineno, record
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{lineno}: record is not a JSON object")
+            tokens = record.get("token")
+            if not tokens:
+                raise DataError(f"{path}:{lineno}: document has no tokens")
+            if not _is_strings(tokens):
+                raise DataError(f"{path}:{lineno}: token field is not a list of strings")
+            yield lineno, tokens, record
 
 
 def build_vocab_from_file(path, min_freq: int = 1) -> Vocabulary:
-    return build_vocab((rec.get("token", []) for _, rec in read_raw_corpus(path)), min_freq)
+    return build_vocab((tokens for _, tokens, _ in read_raw_corpus(path)), min_freq)
 
 
 def load_corpus(path, vocab: Vocabulary, tax: Taxonomy) -> list[Document]:
     """Map a JSON-lines corpus into documents of token ids and label ids.
 
-    Unknown tokens become UNK; unknown or root label names are data errors
-    reported with the offending line number.
+    Unknown tokens become UNK; a missing, empty or non-list label field and
+    unknown or root label names are data errors reported with the
+    offending line number.
     """
     docs = []
     name_to_id = {name: i for i, name in enumerate(tax.labels)}
-    for lineno, record in read_raw_corpus(path):
-        tokens = record.get("token")
+    for lineno, tokens, record in read_raw_corpus(path):
         label_names = record.get("label")
-        if not tokens:
-            raise DataError(f"{path}:{lineno}: document has no tokens")
         if not label_names:
             raise DataError(f"{path}:{lineno}: document has an empty label list")
+        if not _is_strings(label_names):
+            raise DataError(f"{path}:{lineno}: label field is not a list of strings")
         label_ids = set()
         for name in label_names:
             if name not in name_to_id:
@@ -127,8 +152,7 @@ def load_corpus(path, vocab: Vocabulary, tax: Taxonomy) -> list[Document]:
             if name_to_id[name] == tax.root:
                 raise DataError(f"{path}:{lineno}: the root is not a valid document label")
             label_ids.add(name_to_id[name])
-        docs.append(Document(tokens=tuple(vocab.lookup(t) for t in tokens),
-                             labels=frozenset(label_ids)))
+        docs.append(Document(tokens=vocab.encode(tokens), labels=frozenset(label_ids)))
     return docs
 
 
@@ -150,10 +174,11 @@ def make_batches(docs: list[Document], batch_size: int, max_len: int,
                  drop_partial: bool = False) -> list[Batch]:
     """Truncate to max_len, pad per batch, and build multi-hot targets.
 
-    Shuffling is a pure function of the seed.  The final partial batch is
-    dropped only when `drop_partial` is set (required while the mutual
-    information loss is active, which pairs each document with another in
-    the same batch).
+    A document with an empty label set gets an all-zero target row, which
+    is how unlabeled documents are batched for prediction.  Shuffling is a
+    pure function of the seed.  The final partial batch is dropped only
+    when `drop_partial` is set (required while the mutual information loss
+    is active, which pairs each document with another in the same batch).
     """
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
@@ -184,8 +209,6 @@ def make_batches(docs: list[Document], batch_size: int, max_len: int,
         for row, (doc, kept) in enumerate(zip(chunk, token_rows)):
             ids[row, :len(kept)] = kept
             mask[row, :len(kept)] = 1.0
-            if not doc.labels:
-                raise DataError("document with an empty label set")
             for label_id in doc.labels:
                 targets[row, target_col[label_id]] = 1.0
         batches.append(Batch(token_ids=ids, mask=mask, targets=targets))

@@ -14,6 +14,7 @@ objective next to the classification loss.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,33 +292,26 @@ def _check_finite(value: float, name: str):
 
 def total_loss(l_c: Tensor, l_mi: Tensor | None, l_pr: Tensor | None,
                f_weight: Tensor | None) -> tuple[Tensor, LossBundle]:
-    """Combine per Eq-style gating: l_c + f*l_mi + (1-f)*l_pr.
+    """Combine per Eq-style gating: l_c + (w_MI*l_mi + w_pr*l_pr).
 
-    Disabled terms pass None; the surviving auxiliary term then gets
-    weight 1, and with both disabled the objective degenerates to the
-    classification loss.  Reported weights keep the bundle identity exact.
+    Disabled terms pass None.  With both auxiliary terms present the gate
+    gives (w_MI, w_pr) = (f, 1 - f); a lone auxiliary term gets weight 1
+    (added as is), and with both disabled the objective degenerates to the
+    classification loss.  The reported F is f, 1.0 without the prior term
+    and 0.0 otherwise, which keeps the bundle identity exact.
     """
-    _check_finite(l_c.item(), "L_c")
-    if l_mi is not None:
-        _check_finite(l_mi.item(), "L_MI")
-    if l_pr is not None:
-        _check_finite(l_pr.item(), "L_pr")
-
-    if l_mi is not None and l_pr is not None:
-        if f_weight is None:
-            raise ad.ContractError("full objective requires the loss weight gate")
-        _check_finite(f_weight.item(), "F")
-        total = ad.add(l_c, ad.add(ad.mul(f_weight, l_mi),
-                                   ad.mul(ad.add(ad.neg(f_weight), 1.0), l_pr)))
-        bundle = LossBundle(l_c.item(), l_mi.item(), l_pr.item(),
-                            f_weight.item(), total.item())
-    elif l_mi is not None:
-        total = ad.add(l_c, l_mi)
-        bundle = LossBundle(l_c.item(), l_mi.item(), 0.0, 1.0, total.item())
-    elif l_pr is not None:
-        total = ad.add(l_c, l_pr)
-        bundle = LossBundle(l_c.item(), 0.0, l_pr.item(), 0.0, total.item())
-    else:
-        total = l_c
-        bundle = LossBundle(l_c.item(), 0.0, 0.0, 0.0, total.item())
-    return total, bundle
+    for name, term in (("L_c", l_c), ("L_MI", l_mi), ("L_pr", l_pr)):
+        if term is not None:
+            _check_finite(term.item(), name)
+    gated = l_mi is not None and l_pr is not None
+    if gated and f_weight is None:
+        raise ad.ContractError("full objective requires the loss weight gate")
+    f_value = f_weight.item() if gated else float(l_mi is not None)
+    _check_finite(f_value, "F")
+    # None stands for weight 1: the term is added without a multiply
+    weights = (f_weight, ad.add(ad.neg(f_weight), 1.0)) if gated else (None, None)
+    weighted = [term if w is None else ad.mul(w, term)
+                for term, w in zip((l_mi, l_pr), weights) if term is not None]
+    total = ad.add(l_c, functools.reduce(ad.add, weighted)) if weighted else l_c
+    l_mi_value, l_pr_value = (0.0 if t is None else t.item() for t in (l_mi, l_pr))
+    return total, LossBundle(l_c.item(), l_mi_value, l_pr_value, f_value, total.item())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import Batch, DataError, Document, Vocabulary, derived_rng, make_batches
-from .encoders import StructureEncoder, TextEncoder, multi_label_attention
+from .encoders import (LabelRepresentations, StructureEncoder, TextEncoder, TextFeatures,
+                       multi_label_attention)
 from .infomax import (
     LossBundle,
     LossWeightEstimator,
@@ -31,7 +32,7 @@ from .infomax import (
     sample_prior,
     total_loss,
 )
-from .predictor import PredictorHead, bce_loss, macro_f1, micro_f1
+from .predictor import Predictions, PredictorHead, bce_loss, macro_f1, micro_f1
 from .taxonomy import Taxonomy, normalized_adjacency, parse_taxonomy, serialize_taxonomy
 
 CHECKPOINT_MAGIC = b"HTCIMAX1"
@@ -61,8 +62,35 @@ class ModelDims:
     def validate(self):
         if self.feature_dim != self.label_dim:
             raise ad.DimensionError("attention requires feature_dim == label_dim")
-        if self.feature_dim % len(self.text_kernels) != 0:
-            raise ad.DimensionError("feature_dim must divide evenly across text kernels")
+        if not self.text_kernels or self.feature_dim % len(self.text_kernels) != 0:
+            raise ad.DimensionError("feature_dim must divide evenly across >= 1 text kernels")
+        if len(self.prior_hidden) != 2:
+            raise ad.DimensionError("prior_hidden must hold exactly two widths")
+
+    @classmethod
+    def from_dict(cls, d) -> "ModelDims":
+        """Widths from a JSON object; ValueError on a non-object, an unknown key
+        or a value that is not a positive integer (a list of them for tuples)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"dims must be a JSON object, got {d!r}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(d) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown dims keys: {sorted(unknown)}")
+        out = {}
+        for key, value in d.items():
+            if isinstance(defaults[key], tuple):
+                if not isinstance(value, (list, tuple)) or not all(map(_is_width, value)):
+                    raise ValueError(f"dims.{key} must list positive integers, got {value!r}")
+                value = tuple(value)
+            elif not _is_width(value):
+                raise ValueError(f"dims.{key} must be a positive integer, got {value!r}")
+            out[key] = value
+        return cls(**out)
+
+
+def _is_width(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass
@@ -96,17 +124,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        dims = d.pop("dims", {})
-        dims = ModelDims(
-            embed_dim=dims.get("embed_dim", 300),
-            feature_dim=dims.get("feature_dim", 300),
-            label_dim=dims.get("label_dim", 300),
-            text_kernels=tuple(dims.get("text_kernels", (2, 3, 4))),
-            mi_hidden=dims.get("mi_hidden", 512),
-            mi_kernel=dims.get("mi_kernel", 3),
-            prior_hidden=tuple(dims.get("prior_hidden", (1000, 200))),
-        )
-        return cls(dims=dims, **d)
+        return cls(dims=ModelDims.from_dict(d.pop("dims", {})), **d)
 
 
 class ParamRegistry:
@@ -184,11 +202,14 @@ class Model:
         if self.gate is not None:
             self.registry.register("gate", self.gate.named_params())
 
-    def losses(self, batch: Batch, prior_seed: int) -> tuple[Tensor, LossBundle]:
+    def forward(self, batch: Batch) -> tuple[TextFeatures, LabelRepresentations, Predictions]:
+        """The pass shared by training and inference."""
         tf = self.text_encoder(batch)
         lr = self.structure_encoder()
-        laf = multi_label_attention(tf, lr)
-        preds = self.head(laf)
+        return tf, lr, self.head(multi_label_attention(tf, lr))
+
+    def losses(self, batch: Batch, prior_seed: int) -> tuple[Tensor, LossBundle]:
+        tf, lr, preds = self.forward(batch)
         l_c = bce_loss(preds.logits, batch.targets)
         l_mi = mi_loss(tf, lr, batch.targets, self.mi_disc) if self.mi_disc else None
         l_pr = None
@@ -198,11 +219,8 @@ class Model:
         f_weight = self.gate(tf.pooled, lr) if self.gate is not None else None
         return total_loss(l_c, l_mi, l_pr, f_weight)
 
-    def predict(self, batch: Batch):
-        tf = self.text_encoder(batch)
-        lr = self.structure_encoder()
-        laf = multi_label_attention(tf, lr)
-        return self.head(laf)
+    def predict(self, batch: Batch) -> Predictions:
+        return self.forward(batch)[2]
 
 
 class Adam:
@@ -305,6 +323,9 @@ def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxo
     so a split run reproduces an uninterrupted one.
     """
     config.validate()
+    for split, docs in (("training", train_docs), ("validation", val_docs)):
+        if any(not doc.labels for doc in docs):
+            raise DataError(f"{split} document with an empty label set")
     model = Model(tax, vocab, config)
     optimizer = Adam(model.registry, config.learning_rate)
     start_epoch = 0
@@ -414,30 +435,34 @@ def read_checkpoint(path) -> dict:
     (header_len,) = struct.unpack("<Q", blob[8:16])
     if len(blob) < 16 + header_len:
         raise CheckpointError(f"{path} is truncated inside the header")
-    header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    if header.get("version") != 1:
-        raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
+    try:
+        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        if header.get("version") != 1:
+            raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
+        layout = [(entry["name"], tuple(map(int, entry["shape"])))
+                  for entry in header["params"]]
+    except (ValueError, AttributeError, KeyError, TypeError) as err:
+        raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
     offset = 16 + header_len
     has_adam = header.get("adam") is not None
     params: dict[str, np.ndarray] = {}
     adam_m: dict[str, np.ndarray] = {}
     adam_v: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for name, shape in layout:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         blocks = 3 if has_adam else 1
         if len(blob) < offset + nbytes * blocks:
-            raise CheckpointError(f"{path} is truncated inside parameter {entry['name']!r}")
-        params[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count,
-                                              offset=offset).reshape(shape).copy()
+            raise CheckpointError(f"{path} is truncated inside parameter {name!r}")
+        params[name] = np.frombuffer(blob, dtype="<f8", count=count,
+                                     offset=offset).reshape(shape).copy()
         offset += nbytes
         if has_adam:
-            adam_m[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count,
-                                                  offset=offset).reshape(shape).copy()
+            adam_m[name] = np.frombuffer(blob, dtype="<f8", count=count,
+                                         offset=offset).reshape(shape).copy()
             offset += nbytes
-            adam_v[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count,
-                                                  offset=offset).reshape(shape).copy()
+            adam_v[name] = np.frombuffer(blob, dtype="<f8", count=count,
+                                         offset=offset).reshape(shape).copy()
             offset += nbytes
     return {"header": header, "params": params, "adam_m": adam_m, "adam_v": adam_v}
 
@@ -474,9 +499,12 @@ def load_model(path) -> Model:
     """Rebuild a model purely from a checkpoint (config, vocab, taxonomy)."""
     data = read_checkpoint(path)
     header = data["header"]
-    config = TrainConfig.from_dict(header["config"])
-    tax = parse_taxonomy(header["taxonomy"])
-    vocab = Vocabulary.from_json(header["vocab"])
+    try:
+        config = TrainConfig.from_dict(header["config"])
+        tax = parse_taxonomy(header["taxonomy"])
+        vocab = Vocabulary.from_json(header["vocab"])
+    except (ValueError, AttributeError, KeyError, TypeError) as err:
+        raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
     model = Model(tax, vocab, config)
     restore_checkpoint(path, model)
     return model

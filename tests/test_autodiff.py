@@ -1,5 +1,9 @@
 """Autodiff engine: forward oracles, gradient checks, and graph mechanics."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,9 +69,10 @@ def test_bmm_matches_numpy():
 
 
 def test_softmax_rows_sum_to_one():
+    # with nothing masked, masked_softmax is the plain row softmax
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 9)) * 10
-    out = ad.softmax(Tensor(x), axis=1).data
+    out = ad.masked_softmax(Tensor(x), np.ones((6, 9)), axis=1).data
     assert np.allclose(out.sum(axis=1), 1.0)
     expected = np.exp(x - x.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
@@ -94,18 +99,12 @@ def test_logsigmoid_is_stable_at_extremes():
     assert out[2] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_log_rejects_nonpositive():
-    with pytest.raises(ad.DomainError):
-        ad.log(Tensor(np.array([1.0, 0.0])))
-
-
 def test_reductions_match_numpy():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 4, 5))
     assert np.allclose(ad.sum_(Tensor(x)).data, x.sum())
     assert np.allclose(ad.sum_(Tensor(x), axis=1).data, x.sum(axis=1))
     assert np.allclose(ad.mean(Tensor(x), axis=0).data, x.mean(axis=0))
-    assert np.allclose(ad.max_(Tensor(x), axis=2).data, x.max(axis=2))
 
 
 def test_conv1d_matches_explicit_sliding_window():
@@ -179,7 +178,7 @@ def test_grad_matmul_bias():
     bias = rand(rng, 5)
 
     def f():
-        return ad.sum_(ad.tanh(ad.add(ad.matmul(x, w), bias)))
+        return ad.sum_(ad.sigmoid(ad.add(ad.matmul(x, w), bias)))
 
     fd(f, {"x": x, "w": w, "bias": bias})
 
@@ -196,23 +195,13 @@ def test_grad_bmm_transpose_reshape():
     fd(f, {"a": a, "b": b})
 
 
-@pytest.mark.parametrize("op", [ad.relu, ad.sigmoid, ad.tanh, ad.exp, ad.softplus, ad.logsigmoid])
+@pytest.mark.parametrize("op", [ad.relu, ad.sigmoid, ad.softplus, ad.logsigmoid])
 def test_grad_elementwise_ops(op):
     rng = np.random.default_rng(13)
     x = Tensor(rng.standard_normal((4, 4)) + 0.3, requires_grad=True)
 
     def f():
         return ad.sum_(op(x))
-
-    fd(f, {"x": x})
-
-
-def test_grad_log():
-    rng = np.random.default_rng(14)
-    x = Tensor(rng.uniform(0.5, 3.0, (3, 3)), requires_grad=True)
-
-    def f():
-        return ad.sum_(ad.log(x))
 
     fd(f, {"x": x})
 
@@ -224,7 +213,7 @@ def test_grad_softmax_and_masked_softmax():
     mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [0, 1, 0, 1, 1]], dtype=np.float64)
 
     def f_plain():
-        return ad.sum_(ad.mul(ad.softmax(x, axis=1), Tensor(target)))
+        return ad.sum_(ad.mul(ad.masked_softmax(x, np.ones((3, 5)), axis=1), Tensor(target)))
 
     def f_masked():
         return ad.sum_(ad.mul(ad.masked_softmax(x, mask, axis=1), Tensor(target)))
@@ -245,13 +234,6 @@ def test_grad_reductions():
 
     fd(f_mean, {"x": x})
     fd(f_axis, {"x": x})
-
-
-def test_grad_max_routes_to_first_argmax():
-    x = Tensor(np.array([[1.0, 3.0, 3.0, 0.0]]), requires_grad=True)
-    out = ad.sum_(ad.max_(x, axis=1))
-    ad.backward(out)
-    assert np.allclose(x.grad, [[0.0, 1.0, 0.0, 0.0]])
 
 
 def test_grad_conv1d_all_kernels():
@@ -341,20 +323,37 @@ def test_no_grad_suppresses_graph_recording():
     assert out._backward is None
 
 
-def test_division_by_tensor_is_rejected():
-    x = Tensor(np.array([1.0]))
-    with pytest.raises(ad.ContractError):
-        _ = x / Tensor(np.array([2.0]))
+# -- surface ----------------------------------------------------------------------
 
 
-def test_activation_and_reduce_dispatchers():
-    x = Tensor(np.array([[-1.0, 2.0]]))
-    assert np.allclose(ad.activation(x, "relu").data, [[0.0, 2.0]])
-    assert ad.reduce(x, "sum").item() == pytest.approx(1.0)
-    with pytest.raises(ad.ContractError):
-        ad.activation(x, "gelu")
-    with pytest.raises(ad.ContractError):
-        ad.reduce(x, "median")
+def _autodiff_names_used(source: str) -> set[str]:
+    """Names a module takes from autodiff: `from .autodiff import x` or `ad.x`."""
+    tree = ast.parse(source)
+    used, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "autodiff"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_autodiff_function_is_used_by_the_package():
+    # the engine exposes only what the model calls, plus the harness used by tests
+    harness = {"backward", "topo_order", "no_grad", "sum_", "finite_difference_check"}
+    package = Path(ad.__file__).parent
+    used = set()
+    for module in package.glob("*.py"):
+        if module.name not in ("autodiff.py", "__init__.py"):
+            used |= _autodiff_names_used(module.read_text(encoding="utf-8"))
+    public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+              if fn.__module__ == ad.__name__ and not name.startswith("_")}
+    assert "masked_softmax" in used and "conv1d" in used
+    assert sorted(public - harness - used) == []
 
 
 # -- the harness itself -----------------------------------------------------------
@@ -400,10 +399,18 @@ def test_finite_difference_report_summary_lists_params():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_softmax_rows_always_normalize(rows, cols, seed):
-    x = np.random.default_rng(seed).standard_normal((rows, cols)) * 5
-    out = ad.softmax(Tensor(x), axis=1).data
-    assert np.allclose(out.sum(axis=1), 1.0)
+    # masked_softmax over ragged masks: each row normalizes over its valid
+    # slots, masked slots are exactly 0, and a fully masked row is all 0
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols)) * 5
+    lengths = rng.integers(0, cols + 1, rows)
+    lengths[0] = 0
+    mask = (np.arange(cols)[None, :] < lengths[:, None]).astype(np.float64)
+    out = ad.masked_softmax(Tensor(x), mask, axis=1).data
+    assert np.isfinite(out).all()
     assert (out >= 0).all()
+    assert np.array_equal(out[mask == 0], np.zeros(int((mask == 0).sum())))
+    assert np.allclose(out.sum(axis=1), (lengths > 0).astype(np.float64))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, manifests, schemas."""
 
 import json
+import struct
 
+import numpy as np
 import pytest
 
+from htcinfomax import autodiff as ad
 from htcinfomax import cli
+from htcinfomax.dataio import load_corpus, make_batches
+from htcinfomax.trainer import load_model
 
 TINY_TRAIN_CONFIG = {
     "epochs": 2,
@@ -170,6 +175,22 @@ def test_train_invalid_batch_size_combination(workspace, tmp_path, capsys):
     assert "batch_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", [
+    5,
+    {"text_kernels": 3},
+    {"embed_dim": "wide"},
+    {"embed_dim": 12, "hidden_width": 4},
+    {"embed_dim": 12, "prior_hidden": [10]},
+])
+def test_train_malformed_dims_is_usage_error(workspace, tmp_path, capsys, dims):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_TRAIN_CONFIG, "dims": dims}), encoding="utf-8")
+    rc = cli.main(["train", "--data", str(workspace["data"]), "--config", str(config),
+                   "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_train_manifest_written(workspace):
     manifest = json.loads((workspace["run"] / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "train"
@@ -217,6 +238,18 @@ def test_eval_corrupt_checkpoint_is_runtime_error(workspace, tmp_path, capsys):
     assert rc == 1
 
 
+def test_eval_corrupt_checkpoint_header_is_runtime_error(workspace, tmp_path, capsys):
+    blob = workspace["checkpoint"].read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:16] + b"{" * length + blob[16 + length:])
+    rc = cli.main(["eval", "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "test.jsonl"),
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert "corrupt header" in capsys.readouterr().err
+
+
 # -- predict ----------------------------------------------------------------------
 
 
@@ -251,6 +284,51 @@ def test_predict_malformed_json_is_data_error(workspace, tmp_path, capsys):
                    "--data", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert ":2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", ['[1, 2]', '{"token": "n0#w0 n0#w1"}'])
+def test_predict_malformed_record_is_data_error(workspace, tmp_path, capsys, record):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"token": ["x"]}\n' + record + "\n", encoding="utf-8")
+    rc = cli.main(["predict", "--checkpoint", str(workspace["checkpoint"]),
+                   "--data", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_predict_emits_the_decisions_evaluate_scores(workspace, tmp_path, capsys):
+    # ragged documents, some longer than max_len (16); the last record's label
+    # is not in the taxonomy, which predict ignores
+    records = [json.loads(line) for line in
+               (workspace["data"] / "test.jsonl").read_text(encoding="utf-8").splitlines()]
+    labeled = []
+    for i, rec in enumerate(records[:11]):
+        tokens = (rec["token"] * 4)[:2 + 3 * i]
+        labeled.append({"token": tokens, "label": rec["label"]})
+    labeled_path = tmp_path / "labeled.jsonl"
+    labeled_path.write_text("".join(json.dumps(r) + "\n" for r in labeled), encoding="utf-8")
+    unknown = labeled[:-1] + [{"token": labeled[-1]["token"], "label": ["no-such-label"]}]
+    predict_path = tmp_path / "predict.jsonl"
+    predict_path.write_text("".join(json.dumps(r) + "\n" for r in unknown), encoding="utf-8")
+
+    model = load_model(workspace["checkpoint"])
+    assert max(len(r["token"]) for r in labeled) > model.config.max_len
+    batches = make_batches(load_corpus(labeled_path, model.vocab, model.tax),
+                           model.config.batch_size, model.config.max_len, model.tax)
+    with ad.no_grad():
+        preds = [model.predict(b) for b in batches]
+    decisions = np.concatenate([p.decisions for p in preds])
+    probs = np.concatenate([p.probs for p in preds])
+
+    rc = cli.main(["predict", "--checkpoint", str(workspace["checkpoint"]),
+                   "--data", str(predict_path), "--out", str(tmp_path)])
+    assert rc == 0
+    emitted = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(emitted) == len(labeled)
+    names = model.tax.target_names()
+    for row, record in enumerate(emitted):
+        assert record["labels"] == [n for j, n in enumerate(names) if decisions[row, j] == 1.0]
+        assert [record["probs"][n] for n in names] == probs[row].tolist()
 
 
 def test_predict_accepts_unlabeled_documents(workspace, tmp_path, capsys):

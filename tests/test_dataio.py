@@ -99,6 +99,10 @@ def test_load_corpus_unknown_token_becomes_unk(tmp_path):
     ({"token": ["x"], "label": []}, "empty label"),
     ({"token": ["x"], "label": ["nope"]}, "unknown label"),
     ({"token": ["x"], "label": ["Root"]}, "root"),
+    ([1, 2], "not a JSON object"),
+    ({"token": "xyz", "label": ["a"]}, "token field"),
+    ({"token": ["x", 3], "label": ["a"]}, "token field"),
+    ({"token": ["x"], "label": "a"}, "label field"),
 ])
 def test_load_corpus_rejects_bad_records_with_line_number(tmp_path, record, message):
     path = write_corpus(tmp_path, [{"token": ["ok"], "label": ["a"]}, record])
@@ -106,6 +110,12 @@ def test_load_corpus_rejects_bad_records_with_line_number(tmp_path, record, mess
         load_corpus(path, build_vocab([["ok", "x"]]), TAX)
     assert ":2:" in str(err.value)
     assert message.split()[0] in str(err.value).lower()
+
+
+def test_build_vocab_from_file_shares_the_record_check(tmp_path):
+    path = write_corpus(tmp_path, [{"token": ["ok"]}, {"token": "xyz"}])
+    with pytest.raises(DataError, match=":2: token field"):
+        dataio.build_vocab_from_file(path)
 
 
 def test_malformed_json_line_reports_line_number(tmp_path):
@@ -121,6 +131,14 @@ def test_malformed_json_line_reports_line_number(tmp_path):
 def docs_of_lengths(lengths):
     a1 = TAX.id_of("a1")
     return [Document(tokens=tuple(range(2, 2 + n)), labels=frozenset({a1})) for n in lengths]
+
+
+def test_make_batches_unlabeled_document_gets_zero_targets():
+    docs = docs_of_lengths([2]) + [Document(tokens=(2, 3, 4), labels=frozenset())]
+    (batch,) = make_batches(docs, 2, 16, TAX)
+    assert batch.targets[0].sum() == 1.0
+    assert np.array_equal(batch.targets[1], np.zeros(TAX.num_labels))
+    assert np.array_equal(batch.mask[1], [1.0, 1.0, 1.0])
 
 
 def test_make_batches_pads_to_batch_max_and_masks():

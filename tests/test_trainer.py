@@ -1,6 +1,7 @@
 """Optimizer, registry, train step, evaluation, and checkpointing."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -170,6 +171,28 @@ def test_train_config_validation():
         tiny_config(learning_rate=0.0).validate()
     with pytest.raises(ad.DimensionError):
         TrainConfig(dims=ModelDims(feature_dim=6, label_dim=8)).validate()
+    with pytest.raises(ad.DimensionError, match="text kernels"):
+        TrainConfig(dims=ModelDims(text_kernels=())).validate()
+    with pytest.raises(ad.DimensionError, match="prior_hidden"):
+        TrainConfig(dims=ModelDims(prior_hidden=(8,))).validate()
+
+
+@pytest.mark.parametrize("dims,message", [
+    (5, "JSON object"),
+    ({"text_kernels": 3}, "text_kernels"),
+    ({"embed_dim": "wide"}, "embed_dim"),
+    ({"embed_dim": 6, "hidden_width": 4}, "unknown dims keys"),
+    ({"mi_kernel": 0}, "mi_kernel"),
+    ({"prior_hidden": [8, -1]}, "prior_hidden"),
+])
+def test_train_config_from_dict_rejects_malformed_dims(dims, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig.from_dict({"dims": dims})
+
+
+def test_train_config_from_dict_fills_missing_dims_from_defaults():
+    config = TrainConfig.from_dict({"dims": {"embed_dim": 6, "prior_hidden": [5, 3]}})
+    assert config.dims == ModelDims(embed_dim=6, prior_hidden=(5, 3))
 
 
 # -- training step -----------------------------------------------------------------
@@ -308,6 +331,38 @@ def test_checkpoint_truncation_rejected(tmp_path):
         read_checkpoint(path)
 
 
+def _rewrite_header(path, edit):
+    """Replace a checkpoint's JSON header by `edit(header_bytes)`."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = edit(blob[16:16 + length])
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + length:])
+
+
+def test_checkpoint_corrupt_header_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+    _rewrite_header(path, lambda header: header[:-7])
+    with pytest.raises(CheckpointError, match="corrupt header"):
+        read_checkpoint(path)
+    with pytest.raises(CheckpointError, match="corrupt header"):
+        load_model(path)
+
+
+def test_checkpoint_malformed_config_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+
+    def bad_dims(header):
+        parsed = json.loads(header)
+        parsed["config"]["dims"] = 5
+        return json.dumps(parsed).encode("utf-8")
+
+    _rewrite_header(path, bad_dims)
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_model(path)
+
+
 def test_checkpoint_architecture_mismatch_names_parameter(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     path = tmp_path / "m.ckpt"
@@ -373,6 +428,14 @@ def test_split_run_equals_uninterrupted_run(tmp_path):
         assert np.array_equal(p.data, resumed.model.registry[name].data)
     assert read_checkpoint(tmp_path / "full.ckpt")["header"]["progress"] == \
         read_checkpoint(tmp_path / "resumed.ckpt")["header"]["progress"]
+
+
+def test_run_training_rejects_unlabeled_documents():
+    unlabeled = Document(tokens=(2, 3), labels=frozenset())
+    with pytest.raises(DataError, match="empty label set"):
+        run_training(tiny_docs(4) + [unlabeled], [], TAX, VOCAB, tiny_config())
+    with pytest.raises(DataError, match="empty label set"):
+        run_training(tiny_docs(4), [unlabeled], TAX, VOCAB, tiny_config())
 
 
 def test_stop_when_halts_early(tmp_path):
