@@ -106,8 +106,10 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # owned copy: `g` may be shared (add) or a view; clipping scales in place
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 # -- graph traversal ---------------------------------------------------------
@@ -402,9 +404,9 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
 
     def back(g, a=a, axis=axis):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
+            _accum(a, np.broadcast_to(g, a.shape))
         else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
 
     return _make(a.data.sum(axis=axis), (a,), back, "sum")
 
@@ -415,9 +417,9 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
 
     def back(g, a=a, axis=axis, n=n):
         if axis is None:
-            _accum(a, np.broadcast_to(g / n, a.shape).copy())
+            _accum(a, np.broadcast_to(g / n, a.shape))
         else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy())
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.shape))
 
     return _make(a.data.mean(axis=axis), (a,), back, "mean")
 
@@ -465,49 +467,43 @@ def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     """
     if kernel.ndim != 3:
         raise DimensionError(f"conv1d kernel must be [k, C_in, C_out], got {kernel.shape}")
-    squeeze = x.ndim == 2
-    if squeeze:
-        xd = x.data[None, :, :]
-    elif x.ndim == 3:
-        xd = x.data
-    else:
+    if x.ndim not in (2, 3):
         raise DimensionError(f"conv1d input must be 2-D or 3-D, got {x.shape}")
-    batch, seq_len, c_in = xd.shape
+    batch, seq_len, c_in = (1,) * (3 - x.ndim) + x.shape
     k, kc_in, c_out = kernel.shape
     if seq_len < 1:
         raise DomainError("conv1d over an empty sequence")
     if kc_in != c_in:
         raise DimensionError(f"conv1d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
 
+    # One GEMM gives every tap's response at every position, y[:, j, t] =
+    # x[:, j] @ kernel[t]; output row s adds y[:, s + d, t] for each tap t
+    # (d = t - left) whose source row is inside the sequence: rows lo..hi-1.
     left = (k - 1) // 2
-    right = k - 1 - left
-    padded = np.pad(xd, ((0, 0), (left, right), (0, 0)))
-    flat_out = np.zeros((batch * seq_len, c_out))
-    for tap in range(k):
-        window = padded[:, tap : tap + seq_len, :].reshape(batch * seq_len, c_in)
-        flat_out += window @ kernel.data[tap]
-    out = flat_out.reshape(batch, seq_len, c_out)
-    if squeeze:
-        out = out[0]
+    spans = [(t, t - left, max(0, left - t), max(0, left - t, min(seq_len, seq_len + left - t)))
+             for t in range(k)]
+    w = kernel.data.transpose(1, 0, 2).reshape(c_in, k * c_out)
+    x_flat = x.data.reshape(batch * seq_len, c_in)
+    y = (x_flat @ w).reshape(batch, seq_len, k, c_out)
+    out = y[:, :, left].copy()
+    for t, d, lo, hi in spans:
+        if t != left:
+            out[:, lo:hi] += y[:, lo + d : hi + d, t]
+    out = out.reshape(x.shape[:-1] + (c_out,))
 
-    def back(g, x=x, kernel=kernel, padded=padded, squeeze=squeeze,
-             batch=batch, seq_len=seq_len, c_in=c_in, k=k, left=left, right=right):
-        g3 = g[None, :, :] if squeeze else g
-        g_flat = g3.reshape(batch * seq_len, -1)
-        grad_pad = np.zeros_like(padded) if x.requires_grad else None
-        for tap in range(k):
-            window = padded[:, tap : tap + seq_len, :].reshape(batch * seq_len, c_in)
-            if kernel.requires_grad:
-                if kernel.grad is None:
-                    kernel.grad = np.zeros_like(kernel.data)
-                kernel.grad[tap] += window.T @ g_flat
-            if grad_pad is not None:
-                grad_pad[:, tap : tap + seq_len, :] += (g_flat @ kernel.data[tap].T).reshape(
-                    batch, seq_len, c_in
-                )
-        if grad_pad is not None:
-            gx = grad_pad[:, left : left + seq_len, :]
-            _accum(x, gx[0] if squeeze else gx)
+    def back(g, x=x, kernel=kernel, x_flat=x_flat, w=w, spans=spans):
+        # the same shifts in reverse: gy[:, s + d, t] = g[:, s], zero elsewhere
+        g3 = g.reshape(batch, seq_len, c_out)
+        gy = np.empty((batch, seq_len, k, c_out))
+        for t, d, lo, hi in spans:
+            gy[:, : lo + d, t] = 0.0
+            gy[:, lo + d : hi + d, t] = g3[:, lo:hi]
+            gy[:, hi + d :, t] = 0.0
+        gy = gy.reshape(batch * seq_len, k * c_out)
+        if kernel.requires_grad:
+            _accum(kernel, (x_flat.T @ gy).reshape(c_in, k, c_out).transpose(1, 0, 2))
+        if x.requires_grad:
+            _accum(x, (gy @ w.T).reshape(x.shape))
 
     return _make(out, (x, kernel), back, "conv1d")
 

@@ -257,7 +257,8 @@ def clip_gradients(registry: ParamRegistry, max_norm: float) -> float:
     total = 0.0
     for _, p in registry.items():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            flat = p.grad.reshape(-1)
+            total += float(flat @ flat)
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
@@ -439,8 +440,11 @@ def read_checkpoint(path) -> dict:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
         if header.get("version") != 1:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
-        layout = [(entry["name"], tuple(map(int, entry["shape"])))
-                  for entry in header["params"]]
+        layout = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
+                   for _, shape in layout for n in shape):
+            raise CheckpointError(f"{path} has a corrupt header: a parameter shape is not "
+                                  "a list of non-negative integers")
     except (ValueError, AttributeError, KeyError, TypeError) as err:
         raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
     offset = 16 + header_len

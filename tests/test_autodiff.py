@@ -249,6 +249,26 @@ def test_grad_conv1d_all_kernels():
         fd(f, {"x": x, "kern": kern})
 
 
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "2d"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_conv1d_oracle_over_widths_and_lengths(k, batched):
+    # lengths 1-9 include sequences shorter than a tap's reach (S=2, k=7),
+    # where that tap's valid span is empty
+    rng = np.random.default_rng(100 + k)
+    left = (k - 1) // 2
+    for seq_len in range(1, 10):
+        shape = (2, seq_len, 3) if batched else (seq_len, 3)
+        x, kern = rand(rng, *shape), rand(rng, k, 3, 2)
+        padded = np.zeros(shape[:-2] + (seq_len + k - 1, 3))
+        padded[..., left:left + seq_len, :] = x.data
+        expected = sum(padded[..., t:t + seq_len, :] @ kern.data[t] for t in range(k))
+        out = ad.conv1d(x, kern).data
+        assert out.shape == shape[:-1] + (2,)
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+        weights = Tensor(rng.standard_normal(out.shape))
+        fd(lambda: ad.sum_(ad.mul(ad.conv1d(x, kern), weights)), {"x": x, "kern": kern})
+
+
 def test_grad_embedding_accumulates_repeated_ids():
     table = Tensor(np.ones((3, 2)), requires_grad=True)
     ids = np.array([0, 0, 2])
@@ -298,6 +318,19 @@ def test_diamond_graph_accumulates_once():
     out = ad.add(shared, shared)
     ad.backward(out)
     assert x.grad == pytest.approx(12.0)
+
+
+@pytest.mark.parametrize("add_first", [True, False])
+def test_gradient_buffers_never_alias(add_first):
+    # add hands one array to both parents; the first write must copy it, or
+    # a's later mul contribution would also land in b.grad
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    terms = [ad.sum_(ad.add(a, b)), ad.sum_(ad.mul(a, 3.0))]
+    ad.backward(ad.add(*(terms if add_first else terms[::-1])))
+    assert np.array_equal(a.grad, np.full((2, 3), 4.0))
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+    assert not np.shares_memory(a.grad, b.grad)
 
 
 def test_topo_order_visits_each_node_once():

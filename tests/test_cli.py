@@ -250,6 +250,24 @@ def test_eval_corrupt_checkpoint_header_is_runtime_error(workspace, tmp_path, ca
     assert "corrupt header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("first_extent", [-1, 2.5])
+def test_bad_parameter_shape_in_checkpoint_header_is_runtime_error(
+        workspace, tmp_path, capsys, command, first_extent):
+    blob = workspace["checkpoint"].read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    header["params"][0]["shape"][0] = first_extent
+    edited = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + length:])
+    rc = cli.main([command, "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "test.jsonl"),
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert "corrupt header" in capsys.readouterr().err
+
+
 # -- predict ----------------------------------------------------------------------
 
 

@@ -212,6 +212,21 @@ def test_train_step_populates_every_gradient_and_keeps_identity():
     assert 0.0 < bundle.f_weight < 1.0
 
 
+def test_parameter_gradients_are_owned_c_contiguous_buffers():
+    # clip_gradients scales every grad in place, so none may be a view
+    model = Model(TAX, VOCAB, tiny_config())
+    (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
+    total, _ = model.losses(batch, prior_seed=0)
+    ad.backward(total)
+    grads = [(name, p.grad) for name, p in model.registry.items()]
+    for name, grad in grads:
+        assert grad.shape == model.registry[name].shape, name
+        assert grad.flags.c_contiguous and grad.flags.owndata, name
+    for i, (name, grad) in enumerate(grads):
+        for other, later in grads[i + 1:]:
+            assert not np.shares_memory(grad, later), (name, other)
+
+
 def test_train_step_updates_parameters():
     model = Model(TAX, VOCAB, tiny_config())
     opt = Adam(model.registry, 1e-2)
