@@ -172,12 +172,8 @@ def cmd_gendata(args) -> int:
 # -- train -----------------------------------------------------------------------
 
 
-def _train_config_keys() -> set[str]:
-    return {f.name for f in fields(TrainConfig)}
-
-
 def _build_train_config(args, seed: int, checkpoint_path, log_path) -> TrainConfig:
-    file_cfg = (_load_config_file(args.config, _train_config_keys(), "training")
+    file_cfg = (_load_config_file(args.config, {f.name for f in fields(TrainConfig)}, "training")
                 if args.config else {})
     flag_cfg = {
         "epochs": args.epochs, "batch_size": args.batch_size,
@@ -284,19 +280,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-# -- eval ------------------------------------------------------------------------
+# -- eval and predict ------------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
+def _load_for_inference(args, corpus: str):
+    """Check the inputs, write the manifest, load the model, apply --threshold."""
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    data_path = _require_file(args.data, "evaluation corpus")
-    out_dir = Path(args.out)
-    _write_manifest(out_dir, "eval", {"threshold": args.threshold},
+    data_path = _require_file(args.data, corpus)
+    _write_manifest(Path(args.out), args.command, {"threshold": args.threshold},
                     {"checkpoint": ckpt_path, "data": data_path}, {})
-
     model = load_model(ckpt_path)
     if args.threshold is not None:
         model.head.threshold = args.threshold
+    return model, data_path
+
+
+def cmd_eval(args) -> int:
+    model, data_path = _load_for_inference(args, "evaluation corpus")
     docs = load_corpus(data_path, model.vocab, model.tax)
     batches = make_batches(docs, model.config.batch_size, model.config.max_len, model.tax)
     metrics = evaluate(batches, model)
@@ -308,19 +308,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# -- predict ---------------------------------------------------------------------
-
-
 def cmd_predict(args) -> int:
-    ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    data_path = _require_file(args.data, "input corpus")
-    out_dir = Path(args.out)
-    _write_manifest(out_dir, "predict", {"threshold": args.threshold},
-                    {"checkpoint": ckpt_path, "data": data_path}, {})
-
-    model = load_model(ckpt_path)
-    if args.threshold is not None:
-        model.head.threshold = args.threshold
+    model, data_path = _load_for_inference(args, "input corpus")
     names = model.tax.target_names()
     # labels are optional here and ignored: every document gets an empty label set
     docs = [Document(tokens=model.vocab.encode(tokens), labels=frozenset())
@@ -404,10 +393,7 @@ def main(argv=None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    except ConfigError as err:
+    except (UsageError, ConfigError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (DataError, TaxonomyError, CheckpointError, NumericError,

@@ -10,6 +10,7 @@ Fixed (seed, data, config) triples give bit-identical trajectories.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field, asdict, fields
@@ -89,8 +90,12 @@ class ModelDims:
         return cls(**out)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _is_width(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_count(value) and value >= 1
 
 
 @dataclass
@@ -148,9 +153,6 @@ class ParamRegistry:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __len__(self):
-        return len(self._params)
 
     def zero_grad(self):
         for p in self._params.values():
@@ -224,7 +226,7 @@ class Model:
 
 
 class Adam:
-    """Adam with bias correction; clears gradients after each update."""
+    """Adam with bias correction and one step count `t` for all parameters."""
 
     def __init__(self, registry: ParamRegistry, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -233,22 +235,22 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state = {
-            name: {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
-            for name, p in registry.items()
-        }
+        self.t = 0
+        self.state = {name: {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
+                      for name, p in registry.items()}
 
     def step(self):
         for name, p in self.registry.items():
             if p.grad is None:
                 raise ad.ContractError(f"missing gradient for parameter {name!r}")
+        self.t += 1
+        correction1 = 1.0 - self.beta1 ** self.t
+        correction2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.registry.items():
             s = self.state[name]
-            s["t"] += 1
             s["m"] = self.beta1 * s["m"] + (1.0 - self.beta1) * p.grad
             s["v"] = self.beta2 * s["v"] + (1.0 - self.beta2) * (p.grad * p.grad)
-            m_hat = s["m"] / (1.0 - self.beta1 ** s["t"])
-            v_hat = s["v"] / (1.0 - self.beta2 ** s["t"])
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * (s["m"] / correction1) / (np.sqrt(s["v"] / correction2) + self.eps)
             p.grad = None
 
 
@@ -406,7 +408,7 @@ def save_checkpoint(path, model: Model, optimizer: Adam | None = None,
         "vocab": model.vocab.to_json(),
         "taxonomy": serialize_taxonomy(model.tax),
         "params": [{"name": n, "shape": list(model.registry[n].shape)} for n in names],
-        "adam": {n: optimizer.state[n]["t"] for n in names} if optimizer else None,
+        "adam": {n: optimizer.t for n in names} if optimizer else None,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
@@ -417,67 +419,68 @@ def save_checkpoint(path, model: Model, optimizer: Adam | None = None,
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         for name in names:
-            fh.write(model.registry[name].data.astype("<f8").tobytes(order="C"))
+            # each write copies nothing when the array is C-ordered little-endian float64
+            fh.write(np.ascontiguousarray(model.registry[name].data, dtype="<f8"))
             if optimizer is not None:
-                fh.write(optimizer.state[name]["m"].astype("<f8").tobytes(order="C"))
-                fh.write(optimizer.state[name]["v"].astype("<f8").tobytes(order="C"))
+                fh.write(np.ascontiguousarray(optimizer.state[name]["m"], dtype="<f8"))
+                fh.write(np.ascontiguousarray(optimizer.state[name]["v"], dtype="<f8"))
 
 
 def read_checkpoint(path) -> dict:
-    """Parse a checkpoint into {header, params, adam_m, adam_v} dicts."""
+    """Read and validate a checkpoint: the one parser of the format.
+
+    Returns {header, params, adam_m, adam_v}.  The arrays are read-only
+    views into one buffer over the file, so a caller copies what it keeps.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic or version)")
-    if len(blob) < 16:
-        raise CheckpointError(f"{path} is truncated")
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    if len(blob) < 16 + header_len:
+    body_start = 16 + int.from_bytes(blob[8:16], "little")
+    if len(blob) < body_start:
         raise CheckpointError(f"{path} is truncated inside the header")
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        header = json.loads(blob[16:body_start].decode("utf-8"))
         if header.get("version") != 1:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
         layout = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
-                   for _, shape in layout for n in shape):
-            raise CheckpointError(f"{path} has a corrupt header: a parameter shape is not "
-                                  "a list of non-negative integers")
+        names = [name for name, _ in layout]
+        if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
+            raise ValueError("parameter names must be distinct strings")
+        # positive extents are each at most their block's size, which the body bounds
+        if not all(_is_width(n) for _, shape in layout for n in shape):
+            raise ValueError("a parameter shape is not a list of positive integers")
+        progress, adam = header["progress"], header["adam"]
+        if not (isinstance(progress, dict) and _is_count(progress.get("epochs_completed"))
+                and _is_count(progress.get("global_step"))):
+            raise ValueError("progress must hold two non-negative integer counts")
+        if adam is not None and not (isinstance(adam, dict) and set(adam) == set(names) and all(
+                map(_is_count, adam.values())) and len(set(adam.values())) == 1):
+            raise ValueError("adam must map exactly the parameter names to one step count")
     except (ValueError, AttributeError, KeyError, TypeError) as err:
         raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
-    offset = 16 + header_len
-    has_adam = header.get("adam") is not None
-    params: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    for name, shape in layout:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        blocks = 3 if has_adam else 1
-        if len(blob) < offset + nbytes * blocks:
-            raise CheckpointError(f"{path} is truncated inside parameter {name!r}")
-        params[name] = np.frombuffer(blob, dtype="<f8", count=count,
-                                     offset=offset).reshape(shape).copy()
-        offset += nbytes
-        if has_adam:
-            adam_m[name] = np.frombuffer(blob, dtype="<f8", count=count,
-                                         offset=offset).reshape(shape).copy()
-            offset += nbytes
-            adam_v[name] = np.frombuffer(blob, dtype="<f8", count=count,
-                                         offset=offset).reshape(shape).copy()
-            offset += nbytes
-    return {"header": header, "params": params, "adam_m": adam_m, "adam_v": adam_v}
+    blocks = 1 if adam is None else 3
+    counts = [math.prod(shape) for _, shape in layout]
+    expected, actual = 8 * blocks * sum(counts), len(blob) - body_start
+    if actual < expected:
+        raise CheckpointError(f"{path} is truncated or has a corrupt header: the header "
+                              f"describes {expected} body bytes, the file holds {actual}")
+    if actual > expected:
+        raise CheckpointError(f"{path} has {actual - expected} trailing bytes after its last block")
+    body = np.frombuffer(blob, dtype="<f8", offset=body_start)
+    stores: tuple[dict[str, np.ndarray], ...] = ({}, {}, {})
+    offset = 0
+    for (name, shape), count in zip(layout, counts):
+        for store in stores[:blocks]:
+            store[name] = body[offset:offset + count].reshape(shape)
+            offset += count
+    return {"header": header, "params": stores[0], "adam_m": stores[1], "adam_v": stores[2]}
 
 
-def restore_checkpoint(path, model: Model, optimizer: Adam | None = None) -> tuple[int, int]:
-    """Load parameter values (and optimizer state) into an existing model.
-
-    Returns (epochs_completed, global_step).  Name or shape disagreements
-    raise CheckpointError identifying the parameter.
-    """
-    data = read_checkpoint(path)
+def _apply_checkpoint(data: dict, model: Model, optimizer: Adam | None) -> tuple[int, int]:
+    """Copy what `read_checkpoint` returned into a live model (and optimizer)."""
     stored = set(data["params"])
     live = set(model.registry.names())
     for name in sorted(stored - live):
@@ -490,17 +493,26 @@ def restore_checkpoint(path, model: Model, optimizer: Adam | None = None) -> tup
             raise CheckpointError(
                 f"shape mismatch for parameter {name!r}: checkpoint {values.shape} vs model {target.shape}")
         target.data[...] = values
-    if optimizer is not None and data["header"].get("adam") is not None:
-        for name in model.registry.names():
-            optimizer.state[name]["m"][...] = data["adam_m"][name]
-            optimizer.state[name]["v"][...] = data["adam_v"][name]
-            optimizer.state[name]["t"] = int(data["header"]["adam"][name])
-    progress = data["header"].get("progress", {})
-    return int(progress.get("epochs_completed", 0)), int(progress.get("global_step", 0))
+    header = data["header"]
+    if optimizer is not None and header["adam"] is not None:
+        for name, state in optimizer.state.items():
+            state["m"][...] = data["adam_m"][name]
+            state["v"][...] = data["adam_v"][name]
+        optimizer.t = next(iter(header["adam"].values()))
+    return header["progress"]["epochs_completed"], header["progress"]["global_step"]
+
+
+def restore_checkpoint(path, model: Model, optimizer: Adam | None = None) -> tuple[int, int]:
+    """Load parameter values (and optimizer state) into an existing model.
+
+    Returns (epochs_completed, global_step).  Name or shape disagreements
+    raise CheckpointError identifying the parameter.
+    """
+    return _apply_checkpoint(read_checkpoint(path), model, optimizer)
 
 
 def load_model(path) -> Model:
-    """Rebuild a model purely from a checkpoint (config, vocab, taxonomy)."""
+    """Rebuild a model purely from a checkpoint (config, vocab, taxonomy), read once."""
     data = read_checkpoint(path)
     header = data["header"]
     try:
@@ -510,5 +522,5 @@ def load_model(path) -> Model:
     except (ValueError, AttributeError, KeyError, TypeError) as err:
         raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
     model = Model(tax, vocab, config)
-    restore_checkpoint(path, model)
+    _apply_checkpoint(data, model, None)
     return model

@@ -251,7 +251,7 @@ def test_eval_corrupt_checkpoint_header_is_runtime_error(workspace, tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
-@pytest.mark.parametrize("first_extent", [-1, 2.5])
+@pytest.mark.parametrize("first_extent", [-1, 2.5, 2**62])
 def test_bad_parameter_shape_in_checkpoint_header_is_runtime_error(
         workspace, tmp_path, capsys, command, first_extent):
     blob = workspace["checkpoint"].read_bytes()
@@ -266,6 +266,30 @@ def test_bad_parameter_shape_in_checkpoint_header_is_runtime_error(
                    "--out", str(tmp_path)])
     assert rc == 1
     assert "corrupt header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("case", ["progress-not-object", "adam-other-names", "trailing-bytes"])
+def test_hostile_checkpoint_is_runtime_error(workspace, tmp_path, capsys, command, case):
+    blob = workspace["checkpoint"].read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    body = blob[16 + length:]
+    if case == "progress-not-object":
+        header["progress"] = [1, 2]
+    elif case == "adam-other-names":
+        header["adam"].pop(header["params"][0]["name"])
+    else:
+        body += b"\x00" * 8
+    edited = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(edited)) + edited + body)
+    rc = cli.main([command, "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "test.jsonl"),
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {bad}")
 
 
 # -- predict ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Optimizer, registry, train step, evaluation, and checkpointing."""
 
+import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,18 @@ def test_adam_requires_gradients():
     opt = Adam(reg, lr=1e-3)
     with pytest.raises(ad.ContractError, match="w.v"):
         opt.step()
+
+
+def test_adam_missing_gradient_moves_no_parameter():
+    first = Tensor(np.ones(2), requires_grad=True)
+    reg = ParamRegistry()
+    reg.register("w", {"first": first, "second": Tensor(np.ones(3), requires_grad=True)})
+    opt = Adam(reg, lr=1e-3)
+    first.grad = np.ones(2)
+    with pytest.raises(ad.ContractError, match="w.second"):
+        opt.step()
+    assert np.array_equal(first.data, np.ones(2))
+    assert opt.t == 0 and not opt.state["w.first"]["m"].any()
 
 
 def test_clip_gradients_scales_to_max_norm():
@@ -314,7 +328,7 @@ def test_checkpoint_restores_values_and_adam_state(tmp_path):
         assert np.array_equal(p.data, fresh.registry[name].data)
         assert np.array_equal(opt.state[name]["m"], fresh_opt.state[name]["m"])
         assert np.array_equal(opt.state[name]["v"], fresh_opt.state[name]["v"])
-        assert opt.state[name]["t"] == fresh_opt.state[name]["t"]
+    assert fresh_opt.t == opt.t == 2
 
 
 def test_load_model_rebuilds_from_header_alone(tmp_path):
@@ -344,6 +358,46 @@ def test_checkpoint_truncation_rejected(tmp_path):
     path.write_bytes(blob[:len(blob) - 64])
     with pytest.raises(CheckpointError, match="truncated"):
         read_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="8 trailing bytes"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_format_is_pinned(tmp_path):
+    """One elementwise Adam step on constant gradients: the bytes depend on no BLAS."""
+    model = Model(TAX, VOCAB, tiny_config())
+    opt = Adam(model.registry, 1e-2)
+    for _, p in model.registry.items():
+        p.grad = np.full(p.shape, 0.25)
+    opt.step()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, opt, epochs_completed=1, global_step=1)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "833015610b0f3ed19dee06dadf397f60a11a0868a0e95ced679b5a05d259c445"
+
+
+def test_checkpoint_is_read_once_into_read_only_views(tmp_path, monkeypatch):
+    model = Model(TAX, VOCAB, tiny_config())
+    opt = Adam(model.registry, 1e-2)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, opt)
+    data = read_checkpoint(path)
+    for name, p in model.registry.items():
+        for store, live in ((data["params"], p.data), (data["adam_m"], opt.state[name]["m"]),
+                            (data["adam_v"], opt.state[name]["v"])):
+            assert np.array_equal(store[name], live) and not store[name].flags.writeable
+    reads = []
+    original = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or original(self))
+    load_model(path)
+    assert reads == [path]
+    restore_checkpoint(path, model, Adam(model.registry, 1e-2))
+    assert reads == [path, path]
 
 
 def _rewrite_header(path, edit):
@@ -376,6 +430,34 @@ def test_checkpoint_malformed_config_rejected(tmp_path):
     _rewrite_header(path, bad_dims)
     with pytest.raises(CheckpointError, match="malformed header"):
         load_model(path)
+
+
+HOSTILE_HEADER_EDITS = {
+    "progress-not-object": lambda h: h.update(progress=[1, 2]),
+    "progress-missing-step": lambda h: h.update(progress={"epochs_completed": 1}),
+    "progress-negative": lambda h: h["progress"].update(epochs_completed=-1),
+    "adam-not-object": lambda h: h.update(adam=5),
+    "adam-other-names": lambda h: h.update(adam={"text.embedding": 0}),
+    "adam-two-counts": lambda h: h["adam"].update({h["params"][0]["name"]: 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_HEADER_EDITS))
+def test_checkpoint_malformed_progress_or_adam_rejected(tmp_path, case):
+    model = Model(TAX, VOCAB, tiny_config())
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, Adam(model.registry, 1e-2))
+
+    def edit(header):
+        parsed = json.loads(header)
+        HOSTILE_HEADER_EDITS[case](parsed)
+        return json.dumps(parsed).encode("utf-8")
+
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match="corrupt header"):
+        read_checkpoint(path)
+    with pytest.raises(CheckpointError, match="corrupt header"):
+        restore_checkpoint(path, model, Adam(model.registry, 1e-2))
 
 
 def test_checkpoint_architecture_mismatch_names_parameter(tmp_path):
