@@ -52,14 +52,19 @@ class Tensor:
     """Dense n-dimensional float64 array with an optional grad buffer.
 
     Data is immutable after creation by convention; only `grad` mutates,
-    and only during a backward pass.
+    and only during a backward pass.  A parameter is the exception: when
+    its registry lays out its arena, `data` is rebound once to a view of
+    the arena's flat data vector (same values) and `grad_view` is set to
+    its block of the flat gradient vector, where backward writes its
+    first gradient.  `grad_view` stays None for every other tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "grad_view", "requires_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self.grad_view: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -90,6 +95,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.grad_view = None
     out.op = op
     needs = _grad_enabled and any(p.requires_grad for p in parents)
     out.requires_grad = needs
@@ -106,8 +112,13 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        # owned copy: `g` may be shared (add) or a view; clipping scales in place
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        # a copy: `g` may be shared (add) or a view, and clipping scales in
+        # place; a parameter's goes into its arena view, anything else's is owned
+        if t.grad_view is None:
+            t.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            np.copyto(t.grad_view, g)
+            t.grad = t.grad_view
     else:
         t.grad += g
 
@@ -312,7 +323,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         if not table.requires_grad:
             return
         if table.grad is None:
-            table.grad = np.zeros_like(table.data)
+            table.grad = np.empty_like(table.data) if table.grad_view is None else table.grad_view
+            table.grad.fill(0.0)
         np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
 
     return _make(table.data[ids], (table,), back, "embedding_lookup")

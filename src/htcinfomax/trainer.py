@@ -27,6 +27,7 @@ from .infomax import (
     LossBundle,
     LossWeightEstimator,
     MIDiscriminator,
+    NumericError,
     PriorDiscriminator,
     mi_loss,
     prior_matching_loss,
@@ -132,13 +133,34 @@ class TrainConfig:
         return cls(dims=ModelDims.from_dict(d.pop("dims", {})), **d)
 
 
+def _arena_zeros(size: int) -> np.ndarray:
+    """A zeroed float64 vector whose first element sits on a 64-byte boundary."""
+    raw = np.zeros(size + 7)
+    skip = (-raw.ctypes.data % 64) // 8
+    return raw[skip:skip + size]
+
+
 class ParamRegistry:
-    """Ordered, uniquely named map of every trainable tensor."""
+    """Ordered, uniquely named map of every trainable tensor, laid out once
+    into an arena of flat vectors.
+
+    `layout()` (called by `Model.__init__`, or by the first `Adam` or
+    `clip_gradients` on a bare registry) copies every parameter into one
+    flat `data` vector and rebinds its `data` to its block there, and sets
+    its `grad_view` to the same block of a flat `grad` vector.  Blocks are
+    padded to a multiple of 8 values, so each starts 64-byte aligned; the
+    padding stays zero.  Parameters are registered before the layout.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._blocks: list[tuple[int, tuple[int, ...]]] = []    # (offset, shape) per parameter
+        self.data: np.ndarray | None = None
+        self.grad: np.ndarray | None = None
 
     def register(self, prefix: str, named: dict[str, Tensor]):
+        if self.data is not None:
+            raise ad.ContractError("cannot register parameters after the arena is laid out")
         for name, tensor in named.items():
             full = f"{prefix}.{name}"
             if full in self._params:
@@ -157,6 +179,37 @@ class ParamRegistry:
     def zero_grad(self):
         for p in self._params.values():
             p.grad = None
+
+    def layout(self):
+        """Lay the parameters out into the arena; later calls do nothing."""
+        if self.data is not None:
+            return
+        offset = 0
+        for name, p in self._params.items():
+            if p.grad_view is not None:
+                raise ad.ContractError(f"parameter {name!r} already lives in another registry")
+            self._blocks.append((offset, p.shape))
+            offset += -(-p.data.size // 8) * 8
+        self.data, self.grad = _arena_zeros(offset), _arena_zeros(offset)
+        for p, data, grad in zip(self._params.values(), self.views(self.data),
+                                 self.views(self.grad)):
+            data[...] = p.data
+            p.data, p.grad_view = data, grad
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's block of an arena-sized vector, in registry order."""
+        return [flat[offset:offset + math.prod(shape)].reshape(shape)
+                for offset, shape in self._blocks]
+
+    def gradients(self) -> np.ndarray:
+        """The flat gradient vector, after copying in any gradient a caller
+        assigned directly (`p.grad = array`) so it takes part too."""
+        self.layout()
+        for p in self._params.values():
+            if p.grad is not None and p.grad is not p.grad_view:
+                np.copyto(p.grad_view, p.grad)
+                p.grad = p.grad_view
+        return self.grad
 
 
 class Model:
@@ -203,6 +256,7 @@ class Model:
             self.registry.register("prior", self.prior_disc.named_params())
         if self.gate is not None:
             self.registry.register("gate", self.gate.named_params())
+        self.registry.layout()
 
     def forward(self, batch: Batch) -> tuple[TextFeatures, LabelRepresentations, Predictions]:
         """The pass shared by training and inference."""
@@ -225,48 +279,111 @@ class Model:
         return self.forward(batch)[2]
 
 
+ADAM_CHUNK = 32768     # values per chunk: the working set of one chunk stays in cache
+
+
 class Adam:
-    """Adam with bias correction and one step count `t` for all parameters."""
+    """Adam with bias correction and one step count `t` for all parameters.
+
+    The moments are two flat vectors laid out like the registry's arena;
+    `state[name]` holds views of them.  `step` updates the whole arena in
+    place, a chunk at a time, through the two halves of a scratch vector.
+    """
 
     def __init__(self, registry: ParamRegistry, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        registry.layout()
         self.registry = registry
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.state = {name: {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-                      for name, p in registry.items()}
+        self.m = _arena_zeros(registry.data.size)
+        self.v = _arena_zeros(registry.data.size)
+        self.state = {name: {"m": m, "v": v} for name, m, v in
+                      zip(registry.names(), registry.views(self.m), registry.views(self.v))}
+        self._scratch = np.empty(2 * min(registry.data.size, ADAM_CHUNK))
+        self._chunks = self._chunk_views()
 
     def step(self):
         for name, p in self.registry.items():
             if p.grad is None:
                 raise ad.ContractError(f"missing gradient for parameter {name!r}")
+        self.registry.gradients()
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.registry.items():
-            s = self.state[name]
-            s["m"] = self.beta1 * s["m"] + (1.0 - self.beta1) * p.grad
-            s["v"] = self.beta2 * s["v"] + (1.0 - self.beta2) * (p.grad * p.grad)
-            p.data -= self.lr * (s["m"] / correction1) / (np.sqrt(s["v"] / correction2) + self.eps)
-            p.grad = None
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        for data, g, m, v, a, b in self._chunks:
+            # the operations, and their order, of
+            #   m = b1 * m + (1 - b1) * g
+            #   v = b2 * v + (1 - b2) * (g * g)
+            #   data -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, g, out=a)
+            np.multiply(a, 1.0 - b2, out=a)
+            np.add(v, a, out=v)
+            np.divide(v, correction2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)
+            np.divide(m, correction1, out=b)
+            np.multiply(b, lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(data, b, out=data)
+        self.registry.zero_grad()
+        # Once a step allocates nothing long-lived, glibc trims the top of the
+        # heap when the step's graph is freed, and the next backward faults
+        # those pages back in (12.8k minor faults, 50 MB, per default-dims
+        # step).  The scratch vector keeps the heap top in use: a fresh one,
+        # made while the graph is alive, replaces it when it lies higher,
+        # above the graph; otherwise it is freed at once.  Keeping the first
+        # step's scratch pins nothing when a caller holds that step's graph,
+        # and a fresh one every step pins every other step only, each landing
+        # in the hole its predecessor's predecessor left.
+        fresh = np.empty(self._scratch.size)
+        if fresh.ctypes.data > self._scratch.ctypes.data:
+            self._scratch = fresh
+            self._chunks = self._chunk_views()
+
+    def _chunk_views(self) -> list[tuple[np.ndarray, ...]]:
+        """(data, grad, m, v, a, b) views of each chunk of the arena; a and b
+        are the two halves of the scratch vector."""
+        half = self._scratch.size // 2
+        flats = (self.registry.data, self.registry.grad, self.m, self.v)
+        chunks = []
+        for lo in range(0, self.registry.data.size, ADAM_CHUNK):
+            views = tuple(flat[lo:lo + ADAM_CHUNK] for flat in flats)
+            n = views[0].size
+            chunks.append(views + (self._scratch[:n], self._scratch[half:half + n]))
+        return chunks
 
 
 def clip_gradients(registry: ParamRegistry, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    Raises NumericError, before any gradient is scaled, when the sum of
+    squares is not finite: some gradient holds a NaN or an infinity, or
+    the squares of finite values overflow.
+    """
+    grad = registry.gradients()
     total = 0.0
     for _, p in registry.items():
         if p.grad is not None:
             flat = p.grad.reshape(-1)
             total += float(flat @ flat)
+    if not math.isfinite(total):
+        for name, p in registry.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericError(f"gradient of parameter {name!r} is not finite")
+        raise NumericError(f"the gradients' sum of squares overflowed to {total} "
+                           f"although every gradient is finite")
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for _, p in registry.items():
-            if p.grad is not None:
-                p.grad *= scale
+        grad *= max_norm / norm
     return norm
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,13 @@ import pytest
 
 from htcinfomax import autodiff as ad
 from htcinfomax.autodiff import Tensor
-from htcinfomax.dataio import DataError, Document, Vocabulary, make_batches
-from htcinfomax.taxonomy import parse_taxonomy
+from htcinfomax.dataio import (DataError, Document, GeneratorConfig, Vocabulary,
+                               build_vocab_from_file, generate_synthetic, load_corpus,
+                               make_batches)
+from htcinfomax.infomax import NumericError
+from htcinfomax.taxonomy import load_taxonomy, parse_taxonomy
 from htcinfomax.trainer import (
+    ADAM_CHUNK,
     Adam,
     CheckpointError,
     Model,
@@ -227,7 +232,7 @@ def test_train_step_populates_every_gradient_and_keeps_identity():
 
 
 def test_parameter_gradients_are_owned_c_contiguous_buffers():
-    # clip_gradients scales every grad in place, so none may be a view
+    # clip_gradients scales every grad in place, so no two may share memory
     model = Model(TAX, VOCAB, tiny_config())
     (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
     total, _ = model.losses(batch, prior_seed=0)
@@ -235,10 +240,148 @@ def test_parameter_gradients_are_owned_c_contiguous_buffers():
     grads = [(name, p.grad) for name, p in model.registry.items()]
     for name, grad in grads:
         assert grad.shape == model.registry[name].shape, name
-        assert grad.flags.c_contiguous and grad.flags.owndata, name
+        assert grad.flags.c_contiguous, name
     for i, (name, grad) in enumerate(grads):
         for other, later in grads[i + 1:]:
             assert not np.shares_memory(grad, later), (name, other)
+
+
+@pytest.mark.parametrize("flags", [{}, {"disable_mi": True}, {"disable_label_prior": True},
+                                   {"disable_mi": True, "disable_label_prior": True}])
+def test_backward_writes_every_parameter_gradient_into_its_arena_view(flags):
+    model = Model(TAX, VOCAB, tiny_config(**flags))
+    registry = model.registry
+    (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
+    total, _ = model.losses(batch, prior_seed=0)
+    ad.backward(total)
+    params = list(registry.items())
+    for (name, p), data, grad in zip(params, registry.views(registry.data),
+                                     registry.views(registry.grad)):
+        assert p.grad is p.grad_view and p.grad.shape == p.shape, name
+        assert np.shares_memory(p.grad, registry.grad) and np.shares_memory(grad, p.grad), name
+        assert np.shares_memory(p.data, registry.data) and np.shares_memory(data, p.data), name
+        assert p.grad.ctypes.data % 64 == 0 and p.data.ctypes.data % 64 == 0, name
+    for i, (name, p) in enumerate(params):
+        for other, q in params[i + 1:]:
+            assert not np.shares_memory(p.grad, q.grad), (name, other)
+    # the embedding scatter writes into the arena too (outside it, the table froze)
+    assert np.any(registry.views(registry.grad)[registry.names().index("text.embedding")])
+
+
+def test_registry_layout_is_final_and_exclusive():
+    shared = Tensor(np.arange(3.0), requires_grad=True)
+    reg = ParamRegistry()
+    reg.register("a", {"w": shared})
+    reg.layout()
+    assert np.array_equal(shared.data, np.arange(3.0)) and np.shares_memory(shared.data, reg.data)
+    with pytest.raises(ad.ContractError, match="after the arena"):
+        reg.register("b", {"w": Tensor(np.zeros(2), requires_grad=True)})
+    other = ParamRegistry()
+    other.register("b", {"w": shared})
+    with pytest.raises(ad.ContractError, match="b.w"):
+        Adam(other, 1e-3)
+
+
+def test_directly_assigned_gradients_take_part_in_clipping_and_adam():
+    (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
+    runs = []
+    for assign in (False, True):
+        model = Model(TAX, VOCAB, tiny_config())
+        opt = Adam(model.registry, 1e-2)
+        total, _ = model.losses(batch, prior_seed=0)
+        ad.backward(total)
+        if assign:
+            for _, p in model.registry.items():
+                p.grad = p.grad * 1.0         # a fresh array, outside the arena
+        norm = clip_gradients(model.registry, 0.1)
+        opt.step()
+        runs.append((norm, [p.data.copy() for _, p in model.registry.items()]))
+    (arena_norm, arena), (assigned_norm, assigned) = runs
+    assert arena_norm == assigned_norm > 0.1
+    assert all(np.array_equal(a, b) for a, b in zip(arena, assigned))
+
+
+@pytest.mark.parametrize("poison,message", [
+    (np.nan, "gradient of parameter 'head.weight' is not finite"),
+    (1e200, "overflowed .* every gradient is finite"),
+])
+def test_non_finite_gradients_are_refused_before_anything_moves(poison, message):
+    model = Model(TAX, VOCAB, tiny_config())
+    opt = Adam(model.registry, 1e-2)
+    batches = make_batches(tiny_docs(4), 2, 8, TAX)
+    train_step(batches[0], model, opt, global_step=0)
+    total, _ = model.losses(batches[1], prior_seed=1)
+    model.registry.zero_grad()
+    ad.backward(total)
+    head = model.registry["head.weight"].grad
+    if np.isnan(poison):
+        head[0, 0] = poison
+    else:
+        head[...] = poison
+    state = lambda: [a.copy() for a in (model.registry.data, opt.m, opt.v)]
+    before = state()
+    with pytest.raises(NumericError, match=message):
+        clip_gradients(model.registry, model.config.clip_norm)
+        opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(a, b) for a, b in zip(before, state()))
+
+
+def test_clipping_and_adam_allocate_no_more_than_the_chunk_buffers():
+    # numpy reports its buffers to tracemalloc; the gate-7 shape with a
+    # wider embedding has more than 250K parameters
+    dims = ModelDims(embed_dim=120, feature_dim=60, label_dim=60, mi_hidden=48,
+                     prior_hidden=(96, 48))
+    vocab = Vocabulary({f"t{i}" if i > 1 else ("<pad>", "<unk>")[i]: i for i in range(2000)})
+    model = Model(TAX, vocab, tiny_config(dims=dims))
+    assert model.registry.data.size >= 250_000
+    opt = Adam(model.registry, 1e-3)
+    docs = [Document(tokens=tuple(range(2 + 5 * i, 7 + 5 * i)), labels=d.labels)
+            for i, d in enumerate(tiny_docs(4))]
+    bound = 2 * 8 * ADAM_CHUNK + 64 * 1024
+    for step, batch in enumerate(make_batches(docs, 2, 8, TAX)):
+        total, _ = model.losses(batch, prior_seed=step)
+        model.registry.zero_grad()
+        ad.backward(total)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            clip_gradients(model.registry, model.config.clip_norm)
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (step, peak)
+
+
+PINNED_TRAJECTORIES = {
+    "full": "8f0364c0165c94ba",
+    "disable_mi": "f131a976a050a2ed",
+    "disable_label_prior": "addea00d0ce85cfe",
+    "base": "604b1786823a17be",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(PINNED_TRAJECTORIES))
+def test_fixed_seed_trajectory_is_pinned(setting, tmp_path):
+    """SHA-256 over every parameter's name and bytes after three epochs;
+    the same with one BLAS thread and with the default thread count."""
+    generate_synthetic(GeneratorConfig(depth=2, branching=3, docs_per_label=12, doc_len=14),
+                       5, tmp_path)
+    tax = load_taxonomy(tmp_path / "taxonomy.txt")
+    vocab = build_vocab_from_file(tmp_path / "train.jsonl")
+    train = load_corpus(tmp_path / "train.jsonl", vocab, tax)
+    flags = {"full": {}, "base": {"disable_mi": True, "disable_label_prior": True}}.get(
+        setting, {setting: True})
+    config = TrainConfig(epochs=3, batch_size=8, max_len=10, seed=11, **flags,
+                         dims=ModelDims(embed_dim=12, feature_dim=12, label_dim=12,
+                                        mi_hidden=16, prior_hidden=(20, 8)))
+    model = run_training(train, [], tax, vocab, config).model
+    digest = hashlib.sha256()
+    for name, p in model.registry.items():
+        digest.update(name.encode("utf-8"))
+        digest.update(p.data.tobytes())
+    assert digest.hexdigest()[:16] == PINNED_TRAJECTORIES[setting]
 
 
 def test_train_step_updates_parameters():
