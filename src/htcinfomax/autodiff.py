@@ -7,9 +7,15 @@ the dynamically recorded graph.  `finite_difference_check` verifies any
 composed scalar function against central differences.
 
 Broadcasting is deliberately restricted: elementwise ops require identical
-shapes, except scalar-times-tensor and adding a trailing-axis bias vector.
-Everything runs single-threaded; a graph must not be shared across threads
-mid-pass.
+shapes, except scalar-times-tensor; a trailing-axis bias vector is an
+operand of `matmul` and `conv1d`.  Everything runs single-threaded; a graph
+must not be shared across threads mid-pass.
+
+Gradient ownership: a parameter's first gradient is copied into its arena
+block, any other leaf's into an array of its own.  An op output keeps the
+first one it is handed, which may be shared, a view or read-only; so no
+closure writes into its `g`, and a later contribution is summed in place
+only into an arena block (elsewhere `grad = grad + g`).
 """
 
 from __future__ import annotations
@@ -109,18 +115,21 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add `g` to `t.grad` under the ownership rule in the module docstring."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a copy: `g` may be shared (add) or a view, and clipping scales in
-        # place; a parameter's goes into its arena view, anything else's is owned
-        if t.grad_view is None:
-            t.grad = np.array(g, dtype=np.float64, order="C")
-        else:
+        if t.grad_view is not None:
             np.copyto(t.grad_view, g)
             t.grad = t.grad_view
-    else:
+        elif t._backward is None:
+            t.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            t.grad = g
+    elif t.grad is t.grad_view:
         t.grad += g
+    else:
+        t.grad = t.grad + g
 
 
 # -- graph traversal ---------------------------------------------------------
@@ -169,8 +178,7 @@ def backward(loss: Tensor):
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum.  Accepts same-shape tensors, a python scalar, or a
-    trailing-axis bias vector added to every row."""
+    """Elementwise sum of same-shape tensors, or tensor plus a python scalar."""
     if not isinstance(b, Tensor):
         b_val = float(b)
 
@@ -179,24 +187,14 @@ def add(a: Tensor, b) -> Tensor:
 
         return _make(a.data + b_val, (a,), back_scalar, "add_scalar")
 
-    if a.shape == b.shape:
+    if a.shape != b.shape:
+        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
-        def back_same(g, a=a, b=b):
-            _accum(a, g)
-            _accum(b, g)
+    def back(g, a=a, b=b):
+        _accum(a, g)
+        _accum(b, g)
 
-        return _make(a.data + b.data, (a, b), back_same, "add")
-
-    if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        axes = tuple(range(a.ndim - 1))
-
-        def back_bias(g, a=a, b=b, axes=axes):
-            _accum(a, g)
-            _accum(b, g.sum(axis=axes))
-
-        return _make(a.data + b.data, (a, b), back_bias, "add_bias")
-
-    raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return _make(a.data + b.data, (a, b), back, "add")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -229,20 +227,35 @@ def mul(a: Tensor, b) -> Tensor:
 # -- linear algebra -----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard 2-D matrix product a[m,k] @ b[k,n]."""
+def _add_bias(out: np.ndarray, bias: Tensor | None, op: str) -> tuple[Tensor, ...]:
+    """Add a trailing-axis bias vector in place into a fresh product; returns
+    the extra parent it makes (none without a bias)."""
+    if bias is None:
+        return ()
+    if bias.shape != out.shape[-1:]:
+        raise DimensionError(f"{op}: bias {bias.shape} does not match output {out.shape}")
+    out += bias.data
+    return (bias,)
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Standard 2-D matrix product a[m,k] @ b[k,n], plus bias[n] on every row."""
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
+    out = a.data @ b.data
+    with_bias = _add_bias(out, bias, "matmul")
 
-    def back(g, a=a, b=b):
+    def back(g, a=a, b=b, bias=bias):
         if a.requires_grad:
             _accum(a, g @ b.data.T)
         if b.requires_grad:
             _accum(b, a.data.T @ g)
+        if bias is not None:
+            _accum(bias, g.sum(axis=0))
 
-    return _make(a.data @ b.data, (a, b), back, "matmul")
+    return _make(out, (a, b) + with_bias, back, "matmul")
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -322,10 +335,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     def back(g, table=table, ids=ids):
         if not table.requires_grad:
             return
-        if table.grad is None:
-            table.grad = np.empty_like(table.data) if table.grad_view is None else table.grad_view
-            table.grad.fill(0.0)
-        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        grad = table.grad
+        if grad is None:
+            grad = np.empty_like(table.data) if table.grad_view is None else table.grad_view
+            grad.fill(0.0)
+        elif grad is not table.grad_view:
+            grad = grad.copy()      # not ours to write into (module docstring)
+        np.add.at(grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        table.grad = grad
 
     return _make(table.data[ids], (table,), back, "embedding_lookup")
 
@@ -334,12 +351,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    pos = a.data > 0
+    """max(x, 0); a NaN stays NaN (so a finiteness check downstream sees it)
+    and gets zero gradient."""
 
-    def back(g, a=a, pos=pos):
-        _accum(a, g * pos)
+    def back(g, a=a):
+        _accum(a, g * (a.data > 0))
 
-    return _make(np.where(pos, a.data, 0.0), (a,), back, "relu")
+    return _make(np.maximum(a.data, 0.0), (a,), back, "relu")
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -470,8 +488,9 @@ def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
 # -- convolution ---------------------------------------------------------------
 
 
-def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Same-length 1-D cross-correlation over the sequence axis.
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Same-length 1-D cross-correlation over the sequence axis, plus
+    bias[C_out] at every position.
 
     x is [S, C_in] or [B, S, C_in]; kernel is [k, C_in, C_out].  Zero
     padding keeps the output length equal to S (left pad (k-1)//2, the
@@ -502,8 +521,9 @@ def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
         if t != left:
             out[:, lo:hi] += y[:, lo + d : hi + d, t]
     out = out.reshape(x.shape[:-1] + (c_out,))
+    with_bias = _add_bias(out, bias, "conv1d")
 
-    def back(g, x=x, kernel=kernel, x_flat=x_flat, w=w, spans=spans):
+    def back(g, x=x, kernel=kernel, bias=bias, x_flat=x_flat, w=w, spans=spans):
         # the same shifts in reverse: gy[:, s + d, t] = g[:, s], zero elsewhere
         g3 = g.reshape(batch, seq_len, c_out)
         gy = np.empty((batch, seq_len, k, c_out))
@@ -516,8 +536,10 @@ def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
             _accum(kernel, (x_flat.T @ gy).reshape(c_in, k, c_out).transpose(1, 0, 2))
         if x.requires_grad:
             _accum(x, (gy @ w.T).reshape(x.shape))
+        if bias is not None:
+            _accum(bias, g.sum(axis=tuple(range(g.ndim - 1))))
 
-    return _make(out, (x, kernel), back, "conv1d")
+    return _make(out, (x, kernel) + with_bias, back, "conv1d")
 
 
 # -- adversarial routing --------------------------------------------------------

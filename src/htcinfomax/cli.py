@@ -314,16 +314,17 @@ def cmd_predict(args) -> int:
     # labels are optional here and ignored: every document gets an empty label set
     docs = [Document(tokens=model.vocab.encode(tokens), labels=frozenset())
             for _, tokens, _ in read_raw_corpus(data_path)]
-    for batch in make_batches(docs, model.config.batch_size, model.config.max_len, model.tax):
-        with ad.no_grad():
-            preds = model.predict(batch)
-        for i in range(batch.size):
-            record = {
-                "labels": [names[j] for j in range(model.num_labels)
-                           if preds.decisions[i, j] >= 1.0],
-                "probs": {names[j]: float(preds.probs[i, j]) for j in range(model.num_labels)},
-            }
-            print(json.dumps(record, sort_keys=True))
+    with ad.no_grad():
+        lr = model.structure_encoder()
+        for batch in make_batches(docs, model.config.batch_size, model.config.max_len, model.tax):
+            preds = model.predict(batch, lr)
+            for i in range(batch.size):
+                record = {
+                    "labels": [names[j] for j in range(model.num_labels)
+                               if preds.decisions[i, j] >= 1.0],
+                    "probs": {names[j]: float(preds.probs[i, j]) for j in range(model.num_labels)},
+                }
+                print(json.dumps(record, sort_keys=True))
     log.info("predicted %d documents", len(docs))
     return 0
 

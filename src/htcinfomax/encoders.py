@@ -79,7 +79,7 @@ class TextEncoder:
         # features must not depend on how wide its batch was padded.
         embedded = ad.apply_mask(ad.embedding_lookup(self.embedding, batch.token_ids), batch.mask)
         branches = [
-            ad.add(ad.conv1d(embedded, kernel), bias)
+            ad.conv1d(embedded, kernel, bias)
             for kernel, bias in zip(self.kernels, self.biases)
         ]
         feats = ad.relu(ad.concat(branches, axis=2))
@@ -117,8 +117,8 @@ class StructureEncoder:
         }
 
     def __call__(self) -> LabelRepresentations:
-        hidden = ad.relu(ad.add(ad.matmul(ad.matmul(self.adjacency, self.node_embedding), self.w0), self.b0))
-        out = ad.add(ad.matmul(ad.matmul(self.adjacency, hidden), self.w1), self.b1)
+        hidden = ad.relu(ad.matmul(ad.matmul(self.adjacency, self.node_embedding), self.w0, self.b0))
+        out = ad.matmul(ad.matmul(self.adjacency, hidden), self.w1, self.b1)
         return LabelRepresentations(matrix=ad.embedding_lookup(out, self.nonroot_ids))
 
 

@@ -90,13 +90,13 @@ class MIDiscriminator:
         flattened [k*d_t, hidden] kernel in a [B, k*d_t] GEMM instead of
         the [B*S, k*d_t] one of a convolution.
         """
-        h = ad.relu(ad.add(ad.conv1d(token_feats, self.conv1_kernel), self.conv1_bias))
+        h = ad.relu(ad.conv1d(token_feats, self.conv1_kernel, self.conv1_bias))
         h = ad.apply_mask(h, mask)
         k, channels, hidden = self.conv2_kernel.shape
         shifted = ad.bmm(Tensor(_shifted_mean_weights(mask, k)), h)
         flat = ad.reshape(shifted, (h.shape[0], k * channels))
         kernel = ad.reshape(self.conv2_kernel, (k * channels, hidden))
-        return ad.add(ad.matmul(flat, kernel), self.conv2_bias)
+        return ad.matmul(flat, kernel, self.conv2_bias)
 
     def score_pairs(self, doc_idx: np.ndarray, label_idx: np.ndarray,
                     pooled_text: Tensor, label_reps: Tensor) -> Tensor:
@@ -118,9 +118,9 @@ class MIDiscriminator:
         selector = np.zeros((len(doc_idx), batch + count))
         selector[rows, doc_idx] = 1.0
         selector[rows, batch + label_idx] = 1.0
-        h = ad.relu(ad.add(ad.matmul(Tensor(selector), projected), self.lin1_b))
-        h = ad.relu(ad.add(ad.matmul(h, self.lin2_w), self.lin2_b))
-        return ad.add(ad.matmul(h, self.lin3_w), self.lin3_b)
+        h = ad.relu(ad.matmul(Tensor(selector), projected, self.lin1_b))
+        h = ad.relu(ad.matmul(h, self.lin2_w, self.lin2_b))
+        return ad.matmul(h, self.lin3_w, self.lin3_b)
 
 
 def _shifted_mean_weights(mask: np.ndarray, k: int) -> np.ndarray:
@@ -171,9 +171,9 @@ class PriorDiscriminator:
             p.data[...] = 0.0
 
     def logits(self, reps: Tensor) -> Tensor:
-        h = ad.relu(ad.add(ad.matmul(reps, self.lin1_w), self.lin1_b))
-        h = ad.relu(ad.add(ad.matmul(h, self.lin2_w), self.lin2_b))
-        return ad.add(ad.matmul(h, self.lin3_w), self.lin3_b)
+        h = ad.relu(ad.matmul(reps, self.lin1_w, self.lin1_b))
+        h = ad.relu(ad.matmul(h, self.lin2_w, self.lin2_b))
+        return ad.matmul(h, self.lin3_w, self.lin3_b)
 
     def __call__(self, reps: Tensor) -> Tensor:
         """Probability in (0, 1) that each row came from the prior."""

@@ -39,7 +39,7 @@ class PredictorHead:
     def __call__(self, laf: LabelAwareFeatures) -> Predictions:
         b, n, d = laf.matrix.shape
         flat = ad.reshape(laf.matrix, (b, n * d))
-        logits = ad.add(ad.matmul(flat, self.weight), self.bias)
+        logits = ad.matmul(flat, self.weight, self.bias)
         probs = 1.0 / (1.0 + np.exp(-np.clip(logits.data, -700, 700)))
         decisions = (probs >= self.threshold).astype(np.float64)
         return Predictions(logits=logits, probs=probs, decisions=decisions)

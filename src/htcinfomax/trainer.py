@@ -258,10 +258,16 @@ class Model:
             self.registry.register("gate", self.gate.named_params())
         self.registry.layout()
 
-    def forward(self, batch: Batch) -> tuple[TextFeatures, LabelRepresentations, Predictions]:
-        """The pass shared by training and inference."""
+    def forward(self, batch: Batch, lr: LabelRepresentations | None = None
+                ) -> tuple[TextFeatures, LabelRepresentations, Predictions]:
+        """The pass shared by training and inference.
+
+        The label representations depend on no document, so inference over
+        many batches computes them once (`lr`); None computes them here.
+        """
         tf = self.text_encoder(batch)
-        lr = self.structure_encoder()
+        if lr is None:
+            lr = self.structure_encoder()
         return tf, lr, self.head(multi_label_attention(tf, lr))
 
     def losses(self, batch: Batch, prior_seed: int) -> tuple[Tensor, LossBundle]:
@@ -275,8 +281,8 @@ class Model:
         f_weight = self.gate(tf.pooled, lr) if self.gate is not None else None
         return total_loss(l_c, l_mi, l_pr, f_weight)
 
-    def predict(self, batch: Batch) -> Predictions:
-        return self.forward(batch)[2]
+    def predict(self, batch: Batch, lr: LabelRepresentations | None = None) -> Predictions:
+        return self.forward(batch, lr)[2]
 
 
 ADAM_CHUNK = 32768     # values per chunk: the working set of one chunk stays in cache
@@ -371,10 +377,11 @@ def clip_gradients(registry: ParamRegistry, max_norm: float) -> float:
     """
     grad = registry.gradients()
     total = 0.0
-    for _, p in registry.items():
-        if p.grad is not None:
-            flat = p.grad.reshape(-1)
-            total += float(flat @ flat)
+    with np.errstate(over="ignore"):      # an overflow is reported below, as NumericError
+        for _, p in registry.items():
+            if p.grad is not None:
+                flat = p.grad.reshape(-1)
+                total += float(flat @ flat)
     if not math.isfinite(total):
         for name, p in registry.items():
             if p.grad is not None and not np.isfinite(p.grad).all():
@@ -407,8 +414,9 @@ def evaluate(batches: list[Batch], model: Model) -> dict:
     loss_sum = 0.0
     cell_count = 0
     with ad.no_grad():
+        lr = model.structure_encoder()
         for batch in batches:
-            preds = model.predict(batch)
+            preds = model.predict(batch, lr)
             all_decisions.append(preds.decisions)
             all_targets.append(batch.targets)
             loss_sum += bce_loss(preds.logits, batch.targets).item() * batch.targets.size

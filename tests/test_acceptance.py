@@ -137,9 +137,9 @@ def test_01_full_loss_gradient_check():
               for k, p in model.prior_disc.named_params().items()}
 
     def frozen_disc_logits(reps):
-        h = ad.relu(ad.add(ad.matmul(reps, frozen["lin1.weight"]), frozen["lin1.bias"]))
-        h = ad.relu(ad.add(ad.matmul(h, frozen["lin2.weight"]), frozen["lin2.bias"]))
-        return ad.add(ad.matmul(h, frozen["lin3.weight"]), frozen["lin3.bias"])
+        h = ad.relu(ad.matmul(reps, frozen["lin1.weight"], frozen["lin1.bias"]))
+        h = ad.relu(ad.matmul(h, frozen["lin2.weight"], frozen["lin2.bias"]))
+        return ad.matmul(h, frozen["lin3.weight"], frozen["lin3.bias"])
 
     def decomposed():
         tf = model.text_encoder(batch)

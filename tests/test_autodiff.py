@@ -1,6 +1,7 @@
 """Autodiff engine: forward oracles, gradient checks, and graph mechanics."""
 
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -35,12 +36,25 @@ def test_add_mul_match_numpy():
         assert np.allclose(ad.mul(Tensor(a), 2.5).data, a * 2.5)
 
 
-def test_row_bias_add_broadcasts_trailing_axis():
+@pytest.mark.parametrize("op", ["matmul", "conv1d"])
+def test_fused_bias_is_exact(op):
+    # the bias operand does what a separate add did: the same one addition
+    # forward and the same sum over the leading axes backward, bit for bit
     rng = np.random.default_rng(1)
-    a = rng.standard_normal((2, 5, 3))
-    bias = rng.standard_normal(3)
-    out = ad.add(Tensor(a), Tensor(bias))
-    assert np.allclose(out.data, a + bias)
+    if op == "matmul":
+        x, w = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+        product = x @ w
+    else:
+        x, w = rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 3, 4))
+        product = ad.conv1d(Tensor(x), Tensor(w)).data
+    bias = Tensor(rng.standard_normal(4), requires_grad=True)
+    out = getattr(ad, op)(Tensor(x), Tensor(w, requires_grad=True), bias)
+    assert np.array_equal(out.data, product + bias.data)
+    g = rng.standard_normal(out.shape)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+    assert np.array_equal(bias.grad, g.sum(axis=tuple(range(g.ndim - 1))))
+    with pytest.raises(ad.DimensionError, match="bias"):
+        getattr(ad, op)(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
 
 
 def test_add_rejects_mismatched_shapes():
@@ -178,9 +192,12 @@ def test_grad_matmul_bias():
     bias = rand(rng, 5)
 
     def f():
-        return ad.sum_(ad.sigmoid(ad.add(ad.matmul(x, w), bias)))
+        return ad.sum_(ad.sigmoid(ad.matmul(x, w, bias)))
 
     fd(f, {"x": x, "w": w, "bias": bias})
+    # a trailing-axis bias is matmul's operand; add takes same shapes only
+    with pytest.raises(ad.DimensionError):
+        ad.add(ad.matmul(x, w), bias)
 
 
 def test_grad_bmm_transpose_reshape():
@@ -193,6 +210,17 @@ def test_grad_bmm_transpose_reshape():
         return ad.sum_(ad.mul(ad.reshape(out, (12,)), ad.reshape(out, (12,))))
 
     fd(f, {"a": a, "b": b})
+
+
+def test_relu_keeps_nan_with_zero_gradient():
+    # a NaN going in comes out, so a finiteness check further on sees it
+    x = Tensor(np.array([np.nan, -1.0, -0.0, 0.0, 2.0]), requires_grad=True)
+    out = ad.relu(x)
+    assert np.isnan(out.data[0])
+    assert np.array_equal(out.data[1:], [0.0, 0.0, 0.0, 2.0])
+    assert not np.signbit(out.data[1:]).any()
+    ad.backward(ad.sum_(ad.mul(out, Tensor(np.ones(5)))))
+    assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("op", [ad.relu, ad.sigmoid, ad.softplus, ad.logsigmoid])
@@ -269,6 +297,24 @@ def test_conv1d_oracle_over_widths_and_lengths(k, batched):
         fd(lambda: ad.sum_(ad.mul(ad.conv1d(x, kern), weights)), {"x": x, "kern": kern})
 
 
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "2d"])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_grad_conv1d_bias_ragged(k, batched):
+    # as the text encoder runs it: masked input, conv plus bias, masked output
+    rng = np.random.default_rng(200 + k)
+    mask = np.array([[1.0] * 5, [1.0, 1.0, 0.0, 0.0, 0.0]])
+    if not batched:
+        mask = mask[1]
+    x, kern, bias = rand(rng, *mask.shape, 3), rand(rng, k, 3, 2), rand(rng, 2)
+    weights = Tensor(rng.standard_normal(mask.shape + (2,)))
+
+    def f():
+        out = ad.conv1d(ad.apply_mask(x, mask), kern, bias)
+        return ad.sum_(ad.mul(ad.apply_mask(out, mask), weights))
+
+    fd(f, {"x": x, "kern": kern, "bias": bias})
+
+
 def test_grad_embedding_accumulates_repeated_ids():
     table = Tensor(np.ones((3, 2)), requires_grad=True)
     ids = np.array([0, 0, 2])
@@ -331,6 +377,50 @@ def test_gradient_buffers_never_alias(add_first):
     assert np.array_equal(a.grad, np.full((2, 3), 4.0))
     assert np.array_equal(b.grad, np.ones((2, 3)))
     assert not np.shares_memory(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_borrowed_gradients_are_never_written(reverse, monkeypatch):
+    # op outputs keep the first gradient they are handed without a copy;
+    # here each of p, q and the table gets that gradient shared (add, twice)
+    # or as a view (concat), then more contributions, which must make new
+    # arrays rather than write into the borrowed one
+    rng = np.random.default_rng(30)
+    x, y, w = rand(rng, 3, 2), rand(rng, 3, 2), rand(rng, 2, 2)
+    weights = [Tensor(rng.standard_normal(shape)) for shape in ((3, 2), (3, 4), (4, 2), (3, 2))]
+    ids = np.array([2, 0, 2, 1])
+
+    def f():
+        p, q = ad.sigmoid(x), ad.mul(x, y)
+        table = ad.matmul(x, w)
+        terms = [
+            ad.sum_(ad.mul(ad.add(p, q), weights[0])),
+            ad.sum_(ad.mul(ad.concat([p, q], axis=1), weights[1])),
+            ad.sum_(ad.mul(ad.embedding_lookup(table, ids), weights[2])),
+            ad.sum_(ad.mul(ad.add(table, q), weights[3])),
+        ]
+        return functools.reduce(ad.add, terms[::-1] if reverse else terms)
+
+    borrowed = []
+    accum = ad._accum
+
+    def recording_accum(t, g):
+        if t.requires_grad and t.grad is None and t._backward is not None:
+            borrowed.append((g, g.copy()))
+        accum(t, g)
+
+    monkeypatch.setattr(ad, "_accum", recording_accum)
+    fd(f, {"x": x, "y": y, "w": w})
+    assert len(borrowed) > 10
+    assert all(np.array_equal(g, before) for g, before in borrowed)
+
+
+def test_op_outputs_borrow_their_first_gradient():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    a, b = ad.mul(x, 2.0), ad.mul(x, 3.0)
+    ad.backward(ad.sum_(ad.mul(ad.add(a, b), Tensor(np.full((2, 3), 5.0)))))
+    assert a.grad is b.grad
+    assert np.array_equal(x.grad, np.full((2, 3), 25.0))
 
 
 def test_topo_order_visits_each_node_once():

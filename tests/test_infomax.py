@@ -67,9 +67,9 @@ def test_mi_pool_text_matches_conv_then_masked_mean(kernel_size):
     feats = Tensor(rng.standard_normal((4, 6, 5)) * mask[:, :, None])
     with ad.no_grad():
         pooled = disc.pool_text(feats, mask).data
-        h = ad.relu(ad.add(ad.conv1d(feats, disc.conv1_kernel), disc.conv1_bias))
+        h = ad.relu(ad.conv1d(feats, disc.conv1_kernel, disc.conv1_bias))
         h = ad.apply_mask(h, mask)
-        conv = ad.add(ad.conv1d(h, disc.conv2_kernel), disc.conv2_bias)
+        conv = ad.conv1d(h, disc.conv2_kernel, disc.conv2_bias)
         oracle = ad.masked_mean(conv, mask).data
     assert pooled.shape == (4, 7)
     assert np.abs(pooled - oracle).max() <= 1e-12
@@ -94,9 +94,9 @@ def test_mi_score_pairs_matches_lin1_on_joined_pairs():
     with ad.no_grad():
         logits = disc.score_pairs(doc_idx, label_idx, pooled, labels).data
         joined = ad.concat([Tensor(pooled.data[doc_idx]), Tensor(labels.data[label_idx])], axis=1)
-        lin1 = ad.add(ad.matmul(joined, disc.lin1_w), disc.lin1_b)
-        h = ad.relu(ad.add(ad.matmul(ad.relu(lin1), disc.lin2_w), disc.lin2_b))
-        oracle = ad.add(ad.matmul(h, disc.lin3_w), disc.lin3_b).data
+        lin1 = ad.matmul(joined, disc.lin1_w, disc.lin1_b)
+        h = ad.relu(ad.matmul(ad.relu(lin1), disc.lin2_w, disc.lin2_b))
+        oracle = ad.matmul(h, disc.lin3_w, disc.lin3_b).data
     assert logits.shape == (7, 1)
     assert np.abs(logits - oracle).max() <= 1e-12
 

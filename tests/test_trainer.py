@@ -303,7 +303,9 @@ def test_directly_assigned_gradients_take_part_in_clipping_and_adam():
 
 @pytest.mark.parametrize("poison,message", [
     (np.nan, "gradient of parameter 'head.weight' is not finite"),
-    (1e200, "overflowed .* every gradient is finite"),
+    # numpy's overflow warning must not escape ahead of the NumericError
+    pytest.param(1e200, "overflowed .* every gradient is finite",
+                 marks=pytest.mark.filterwarnings("error")),
 ])
 def test_non_finite_gradients_are_refused_before_anything_moves(poison, message):
     model = Model(TAX, VOCAB, tiny_config())
@@ -432,6 +434,27 @@ def test_evaluate_is_pure_and_deterministic():
     for n, p in model.registry.items():
         assert np.array_equal(before[n], p.data)
     assert set(first) == {"micro_f1", "macro_f1", "L_c"}
+
+
+def test_evaluate_computes_label_representations_once(monkeypatch):
+    model = Model(TAX, VOCAB, tiny_config())
+    batches = make_batches(tiny_docs(6), 2, 8, TAX)
+    calls = []
+    encoder_call = type(model.structure_encoder).__call__
+
+    def counted(self):
+        calls.append(1)
+        return encoder_call(self)
+
+    monkeypatch.setattr(type(model.structure_encoder), "__call__", counted)
+    evaluate(batches, model)
+    assert len(calls) == 1
+    # passing them in is the same computation as making them per batch
+    with ad.no_grad():
+        lr = model.structure_encoder()
+        for batch in batches:
+            assert np.array_equal(model.predict(batch, lr).logits.data,
+                                  model.predict(batch).logits.data)
 
 
 # -- checkpointing -----------------------------------------------------------------
