@@ -172,9 +172,19 @@ def cmd_gendata(args) -> int:
 # -- train -----------------------------------------------------------------------
 
 
-def _build_train_config(args, seed: int, checkpoint_path, log_path) -> TrainConfig:
-    file_cfg = (_load_config_file(args.config, {f.name for f in fields(TrainConfig)}, "training")
-                if args.config else {})
+def _load_train_config_file(args) -> dict:
+    """The --config file's settings; output paths come only from flags."""
+    if not args.config:
+        return {}
+    file_cfg = _load_config_file(args.config, {f.name for f in fields(TrainConfig)}, "training")
+    for key in ("checkpoint_path", "log_path"):
+        if key in file_cfg:
+            raise UsageError(f"config file {args.config} sets {key}; "
+                             "outputs are placed by --out and --checkpoint")
+    return file_cfg
+
+
+def _build_train_config(args, file_cfg: dict, seed, checkpoint_path, log_path) -> TrainConfig:
     flag_cfg = {
         "epochs": args.epochs, "batch_size": args.batch_size,
         "learning_rate": args.lr, "threshold": args.threshold,
@@ -194,7 +204,8 @@ def _build_train_config(args, seed: int, checkpoint_path, log_path) -> TrainConf
     return config
 
 
-def _parse_seeds(args) -> list[int]:
+def _parse_seeds(args, file_seed) -> list:
+    """--seeds, else --seed, else the config file's seed, else 7."""
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -205,7 +216,7 @@ def _parse_seeds(args) -> list[int]:
         if len(set(seeds)) != len(seeds):
             raise UsageError("--seeds contains duplicates")
         return seeds
-    return [args.seed if args.seed is not None else 7]
+    return [args.seed if args.seed is not None else file_seed]
 
 
 def cmd_train(args) -> int:
@@ -217,7 +228,8 @@ def cmd_train(args) -> int:
     val_path = val_path if val_path.is_file() else None
     tax_path = _require_file(args.taxonomy or data_dir / "taxonomy.txt", "taxonomy")
 
-    seeds = _parse_seeds(args)
+    file_cfg = _load_train_config_file(args)
+    seeds = _parse_seeds(args, file_cfg.get("seed", 7))
     if args.checkpoint and len(seeds) > 1:
         raise UsageError("--checkpoint names a single file; it cannot be combined with --seeds")
 
@@ -227,7 +239,7 @@ def cmd_train(args) -> int:
         suffix = f"_seed{seed}" if len(seeds) > 1 else ""
         ckpt = Path(args.checkpoint) if args.checkpoint else out_dir / f"model{suffix}.ckpt"
         logp = out_dir / f"train_log{suffix}.jsonl"
-        plans.append((seed, _build_train_config(args, seed, ckpt, logp)))
+        plans.append((seed, _build_train_config(args, file_cfg, seed, ckpt, logp)))
 
     inputs = {"train": train_path, "taxonomy": tax_path}
     if val_path:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import zlib
 from collections import Counter
 from dataclasses import dataclass, asdict
@@ -32,6 +33,41 @@ class DataError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid generator configuration."""
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_width(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number (the comparison also rejects NaN and huge ints)."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+# (predicate, description) pairs for `_check_kinds`
+_INTEGER = (_is_int, "an integer")
+_REAL = (_is_real, "a finite number")
+
+
+def _check_kinds(values: dict, kinds: dict, error: type[Exception]):
+    """Raise `error` on a key of `values` missing from `kinds` or on the first
+    value its (predicate, description) pair in `kinds` rejects."""
+    unknown = set(values) - set(kinds)
+    if unknown:
+        raise error(f"unknown keys: {sorted(unknown)}")
+    for name, value in values.items():
+        ok, what = kinds[name]
+        if not ok(value):
+            raise error(f"{name} must be {what}, got {value!r}")
 
 
 def derived_rng(seed: int, *keys) -> np.random.Generator:
@@ -240,6 +276,7 @@ class GeneratorConfig:
     test_docs_per_label: int | None = None
 
     def validate(self):
+        _check_kinds(vars(self), _GENERATOR_KINDS, ConfigError)
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
         if self.branching < 2:
@@ -256,6 +293,15 @@ class GeneratorConfig:
 
     def resolved_test_docs(self) -> int:
         return self.test_docs_per_label if self.test_docs_per_label is not None else max(1, self.docs_per_label // 5)
+
+
+_GENERATOR_KINDS = {
+    **dict.fromkeys(("depth", "branching", "vocab_per_label", "docs_per_label", "doc_len"),
+                    _INTEGER),
+    **dict.fromkeys(("imbalance_exponent", "noise_rate"), _REAL),
+    **dict.fromkeys(("val_docs_per_label", "test_docs_per_label"),
+                    (lambda v: v is None or _is_count(v), "a non-negative integer or null")),
+}
 
 
 def _complete_tree_lines(depth: int, branching: int) -> tuple[str, list[str]]:

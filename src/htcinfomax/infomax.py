@@ -181,8 +181,8 @@ class PriorDiscriminator:
 
 
 class LossWeightEstimator:
-    """Sigmoid gate over the batch-mean text feature and label-mean
-    representation; starts at 0.5 (zero init)."""
+    """Sigmoid of [batch-mean text feature, label-mean representation] dotted
+    with [w_text; w_label], plus a bias; starts at 0.5 (zero init)."""
 
     def __init__(self, text_dim: int, label_dim: int):
         self.w_text = zeros_param((text_dim, 1))
@@ -193,16 +193,10 @@ class LossWeightEstimator:
         return {"w_text": self.w_text, "w_label": self.w_label, "bias": self.bias}
 
     def __call__(self, pooled_text: Tensor, lr: LabelRepresentations) -> Tensor:
-        text_mean = ad.mean(pooled_text, axis=0)
-        label_mean = ad.mean(lr.matrix, axis=0)
-        pre = ad.add(
-            ad.add(
-                ad.reshape(ad.matmul(ad.reshape(text_mean, (1, -1)), self.w_text), ()),
-                ad.reshape(ad.matmul(ad.reshape(label_mean, (1, -1)), self.w_label), ()),
-            ),
-            self.bias,
-        )
-        return ad.sigmoid(pre)
+        means = ad.concat([ad.mean(pooled_text, axis=0), ad.mean(lr.matrix, axis=0)])
+        weights = ad.concat([self.w_text, self.w_label])
+        dot = ad.reshape(ad.matmul(ad.reshape(means, (1, -1)), weights), ())
+        return ad.sigmoid(ad.add(dot, self.bias))
 
 
 def mi_pairs(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,25 +216,32 @@ def mi_pairs(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pos_doc, label_col, neg_doc
 
 
+def _js_loss(logits: Tensor) -> Tensor:
+    """-(mean(log D(real)) + mean(log(1 - D(fake)))) with D = sigmoid(logit),
+    from the [2n, 1] logits of n real rows followed by n fake ones.
+
+    With log(1 - D(x)) = logsigmoid(-x) and equal halves, the bound is
+    twice the mean of logsigmoid(sign * logit) with sign +1 on the real
+    half and -1 on the fake half, so one pass scores both halves.
+    """
+    sign = np.repeat([1.0, -1.0], logits.shape[0] // 2)[:, None]
+    return ad.mul(ad.mean(ad.logsigmoid(ad.mul(logits, Tensor(sign)))), -2.0)
+
+
 def mi_loss(tf: TextFeatures, lr: LabelRepresentations, targets: np.ndarray,
             disc: MIDiscriminator) -> Tensor:
     """Negated mutual information lower bound over in-batch pairs.
 
-    I = mean(log D(pos)) + mean(log(1 - D(neg))) with D = sigmoid(logit);
-    the loss is -I, which is 2*ln2 when the discriminator is at chance and
-    approaches 0 as it separates the joint from the product of marginals.
+    The JS bound of `_js_loss` with the positive pairs as real rows and
+    the negatives as fake: 2*ln2 when the discriminator is at chance,
+    approaching 0 as it separates the joint from the product of marginals.
     Encoder and discriminator both descend this loss (cooperative).
-
-    The P positive and P negative pairs are scored in one call; with
-    log(1 - D(x)) = logsigmoid(-x) and equal halves, I is twice the mean
-    of logsigmoid(sign * logit) with sign +1 on positives, -1 on negatives.
     """
     pos_doc, label_col, neg_doc = mi_pairs(targets)
     pooled = disc.pool_text(tf.token_feats, tf.mask)
-    logits = disc.score_pairs(np.concatenate([pos_doc, neg_doc]),
-                              np.concatenate([label_col, label_col]), pooled, lr.matrix)
-    sign = np.repeat([1.0, -1.0], len(pos_doc))[:, None]
-    return ad.mul(ad.mean(ad.logsigmoid(ad.mul(logits, Tensor(sign)))), -2.0)
+    return _js_loss(disc.score_pairs(np.concatenate([pos_doc, neg_doc]),
+                                     np.concatenate([label_col, label_col]),
+                                     pooled, lr.matrix))
 
 
 def sample_prior(count: int, dim: int, seed: int) -> Tensor:
@@ -252,18 +253,16 @@ def prior_matching_loss(lr: LabelRepresentations, prior: Tensor,
                         disc: PriorDiscriminator) -> Tensor:
     """Mean over labels of -(log D(prior_i) + log(1 - D(label_i))).
 
-    The discriminator descends this loss as written; the label encoder
-    sees reversed gradients through its (fake) path, so the same backward
-    pass pushes the learned label distribution toward the prior.
+    The JS bound of `_js_loss`, with the prior rows as real and the label
+    representations as fake, both scored in one discriminator pass.  The
+    discriminator descends this loss as written; the label encoder sees
+    reversed gradients through its (fake) rows, so the same backward pass
+    pushes the learned label distribution toward the prior.
     """
     if prior.shape != lr.matrix.shape:
         raise ad.DimensionError(
             f"prior shape {prior.shape} does not match label representations {lr.matrix.shape}")
-    real_logits = disc.logits(prior)
-    fake_logits = disc.logits(ad.grad_reverse(lr.matrix))
-    per_label = ad.neg(ad.add(ad.logsigmoid(real_logits),
-                              ad.logsigmoid(ad.neg(fake_logits))))
-    return ad.mean(per_label)
+    return _js_loss(disc.logits(ad.concat([prior, ad.grad_reverse(lr.matrix)], axis=0)))
 
 
 @dataclass

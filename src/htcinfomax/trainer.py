@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import Batch, DataError, Document, Vocabulary, derived_rng, make_batches
+from .dataio import (_INTEGER, _REAL, Batch, DataError, Document, Vocabulary, _check_kinds,
+                     _is_count, _is_width, derived_rng, make_batches)
 from .encoders import (LabelRepresentations, StructureEncoder, TextEncoder, TextFeatures,
                        multi_label_attention)
 from .infomax import (
@@ -91,14 +92,6 @@ class ModelDims:
         return cls(**out)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_width(value) -> bool:
-    return _is_count(value) and value >= 1
-
-
 @dataclass
 class TrainConfig:
     epochs: int = 20
@@ -128,9 +121,28 @@ class TrainConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
+    def from_dict(cls, d) -> "TrainConfig":
+        """Settings from a JSON object; ValueError on a non-object, an unknown
+        key or a value of the wrong kind (`_TRAIN_KINDS`, `ModelDims.from_dict`)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         d = dict(d)
-        return cls(dims=ModelDims.from_dict(d.pop("dims", {})), **d)
+        dims = ModelDims.from_dict(d.pop("dims", {}))
+        _check_kinds(d, _TRAIN_KINDS, ValueError)
+        return cls(dims=dims, **d)
+
+
+_OPTIONAL_PATH = (lambda v: v is None or isinstance(v, str), "a string or null")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_TRAIN_KINDS = {
+    "epochs": (_is_count, "a non-negative integer"),
+    "batch_size": (_is_width, "a positive integer"),
+    "max_len": (_is_width, "a positive integer"),
+    "seed": _INTEGER,
+    "learning_rate": _REAL, "threshold": _REAL, "clip_norm": _REAL,
+    "disable_mi": _FLAG, "disable_label_prior": _FLAG,
+    "checkpoint_path": _OPTIONAL_PATH, "log_path": _OPTIONAL_PATH,
+}
 
 
 def _arena_zeros(size: int) -> np.ndarray:

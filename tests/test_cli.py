@@ -9,7 +9,7 @@ import pytest
 from htcinfomax import autodiff as ad
 from htcinfomax import cli
 from htcinfomax.dataio import load_corpus, make_batches
-from htcinfomax.trainer import load_model
+from htcinfomax.trainer import load_model, read_checkpoint
 
 TINY_TRAIN_CONFIG = {
     "epochs": 2,
@@ -189,6 +189,42 @@ def test_train_malformed_dims_is_usage_error(workspace, tmp_path, capsys, dims):
                    "--out", str(tmp_path / "r")])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("gendata", "depth", "3"),
+    ("train", "learning_rate", "x"),
+    ("train", "epochs", "2"),
+    ("train", "batch_size", None),
+    ("train", "threshold", "a"),
+    ("train", "clip_norm", "z"),
+    ("train", "checkpoint_path", "elsewhere.ckpt"),
+    ("train", "log_path", "elsewhere.jsonl"),
+])
+def test_config_value_of_wrong_kind_is_usage_error(workspace, tmp_path, capsys, command, key, value):
+    config = tmp_path / "config.json"
+    base = TINY_TRAIN_CONFIG if command == "train" else {}
+    config.write_text(json.dumps({**base, key: value}), encoding="utf-8")
+    args = ["--data", str(workspace["data"])] if command == "train" else []
+    rc = cli.main([command, *args, "--config", str(config), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "usage error" in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "r" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("flags,seed", [([], 3), (["--seed", "5"], 5)])
+def test_train_seed_precedence_is_flag_then_config_file(workspace, tmp_path, capsys, flags, seed):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_TRAIN_CONFIG, "epochs": 1, "seed": 3}), encoding="utf-8")
+    rc = cli.main(["train", "--data", str(workspace["data"]), "--config", str(config),
+                   "--out", str(tmp_path / "r"), *flags])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["seeds"] == [seed]
+    manifest = json.loads((tmp_path / "r" / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["seeds"] == [seed]
+    assert manifest["config"]["runs"][str(seed)]["seed"] == seed
+    assert read_checkpoint(tmp_path / "r" / "model.ckpt")["header"]["config"]["seed"] == seed
 
 
 def test_train_manifest_written(workspace):

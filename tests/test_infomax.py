@@ -249,6 +249,31 @@ def test_prior_matching_reverses_encoder_gradient_only():
         assert np.allclose(disc_grads[k], p.grad)
 
 
+def numpy_logsigmoid(x):
+    return -np.logaddexp(0.0, -x)
+
+
+def test_prior_matching_matches_two_pass_numpy_oracle(monkeypatch):
+    rng = np.random.default_rng(14)
+    disc = PriorDiscriminator(4, (10, 5), rng)
+    lr = make_labels(rng, count=6)
+    prior = sample_prior(6, 4, 3)
+    calls = []
+    logits = disc.logits
+    monkeypatch.setattr(disc, "logits", lambda reps: calls.append(reps.shape) or logits(reps))
+    loss = prior_matching_loss(lr, prior, disc)
+    assert calls == [(12, 4)]
+
+    def numpy_logits(x):
+        h = np.maximum(x @ disc.lin1_w.data + disc.lin1_b.data, 0.0)
+        h = np.maximum(h @ disc.lin2_w.data + disc.lin2_b.data, 0.0)
+        return h @ disc.lin3_w.data + disc.lin3_b.data
+
+    expected = -(numpy_logsigmoid(numpy_logits(prior.data)).mean()
+                 + numpy_logsigmoid(-numpy_logits(lr.matrix.data)).mean())
+    assert loss.item() == pytest.approx(expected, rel=1e-12)
+
+
 def test_prior_matching_gradient_check_with_reversal_sign():
     # FD sees the encoder gradient negated, so verify against a function
     # that treats the label matrix as frozen and only checks disc params.
@@ -271,6 +296,22 @@ def test_gate_starts_at_exactly_half():
     tf = make_features(rng)
     lr = make_labels(rng, count=6)
     assert gate(tf.pooled, lr).item() == 0.5
+
+
+def test_gate_matches_numpy_oracle_with_nonzero_weights():
+    rng = np.random.default_rng(15)
+    gate = LossWeightEstimator(4, 3)
+    for p in gate.named_params().values():
+        p.data[...] = rng.standard_normal(p.shape)
+    tf = make_features(rng)
+    lr = make_labels(rng, count=6, dim=3)
+    pre = (tf.pooled.data.mean(axis=0) @ gate.w_text.data[:, 0]
+           + lr.matrix.data.mean(axis=0) @ gate.w_label.data[:, 0] + gate.bias.data)
+    assert gate(tf.pooled, lr).item() == pytest.approx(1.0 / (1.0 + np.exp(-pre)), rel=1e-12)
+
+    params = {"labels": lr.matrix, **gate.named_params()}
+    report = ad.finite_difference_check(lambda: gate(tf.pooled, lr), params)
+    assert report.passed, report.summary()
 
 
 def test_gate_receives_gradients():

@@ -268,6 +268,17 @@ def test_backward_writes_every_parameter_gradient_into_its_arena_view(flags):
     assert np.any(registry.views(registry.grad)[registry.names().index("text.embedding")])
 
 
+@pytest.mark.parametrize("flags,nodes", [
+    ({}, 117), ({"disable_mi": True}, 64), ({"disable_label_prior": True}, 80),
+    ({"disable_mi": True, "disable_label_prior": True}, 44)])
+def test_tape_nodes_per_step_are_pinned(flags, nodes):
+    # one prior-discriminator pass over real and fake rows, one gate product
+    model = Model(TAX, VOCAB, tiny_config(**flags))
+    (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
+    total, _ = model.losses(batch, prior_seed=0)
+    assert len(ad.topo_order(total)) == nodes
+
+
 def test_registry_layout_is_final_and_exclusive():
     shared = Tensor(np.arange(3.0), requires_grad=True)
     reg = ParamRegistry()
@@ -357,8 +368,8 @@ def test_clipping_and_adam_allocate_no_more_than_the_chunk_buffers():
 
 
 PINNED_TRAJECTORIES = {
-    "full": "8f0364c0165c94ba",
-    "disable_mi": "f131a976a050a2ed",
+    "full": "498c75e093f5d18c",
+    "disable_mi": "00bc92c02d16b0d6",
     "disable_label_prior": "addea00d0ce85cfe",
     "base": "604b1786823a17be",
 }
@@ -594,6 +605,22 @@ def test_checkpoint_malformed_config_rejected(tmp_path):
         return json.dumps(parsed).encode("utf-8")
 
     _rewrite_header(path, bad_dims)
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key,value", [("clip_norm", "z"), ("threshold", None),
+                                       ("disable_mi", "no"), ("hidden", 4)])
+def test_checkpoint_config_of_wrong_kind_rejected(tmp_path, key, value):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+
+    def edit(header):
+        parsed = json.loads(header)
+        parsed["config"][key] = value
+        return json.dumps(parsed).encode("utf-8")
+
+    _rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match="malformed header"):
         load_model(path)
 
