@@ -103,7 +103,12 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
     out.grad = None
     out.grad_view = None
     out.op = op
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
+    needs = False
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                needs = True
+                break
     out.requires_grad = needs
     if needs:
         out._parents = tuple(parents)
@@ -276,7 +281,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(axes.index(i) for i in range(len(axes)))
 
     def back(g, a=a, inverse=inverse):
         _accum(a, g.transpose(inverse))
@@ -296,27 +301,21 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along `axis`; all other extents must agree."""
-    parts = list(parts)
-    if not parts:
-        raise DimensionError("concat of zero parts")
-    base = list(parts[0].shape)
-    for p in parts[1:]:
-        other = list(p.shape)
-        if len(other) != len(base):
-            raise DimensionError(f"concat: rank mismatch {parts[0].shape} vs {p.shape}")
-        for ax, (x, y) in enumerate(zip(base, other)):
-            if ax != (axis % len(base)) and x != y:
-                raise DimensionError(f"concat: non-concat extents differ: {parts[0].shape} vs {p.shape}")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    parts = tuple(parts)
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError as err:       # no parts, a rank or extent mismatch, a bad axis
+        raise DimensionError(f"concat of {[p.shape for p in parts]} on axis {axis}: {err}") from None
+    lead, lo, slices = (slice(None),) * (axis % out.ndim), 0, []
+    for p in parts:
+        slices.append(lead + (slice(lo, lo + p.shape[axis]),))
+        lo += p.shape[axis]
 
-    def back(g, parts=parts, offsets=offsets, axis=axis):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            _accum(p, g[tuple(index)])
+    def back(g, parts=parts, slices=slices):
+        for p, index in zip(parts, slices):
+            _accum(p, g[index])
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), parts, back, "concat")
+    return _make(out, parts, back, "concat")
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -361,12 +360,9 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    nonneg = x >= 0
-    out[nonneg] = 1.0 / (1.0 + np.exp(-x[nonneg]))
-    ex = np.exp(x[~nonneg])
-    out[~nonneg] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))      # e^-x where x >= 0, e^x elsewhere: never overflows
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -404,15 +400,19 @@ def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     """Softmax over the unmasked slots of `axis`; exactly 0 where mask is 0.
 
     `mask` is a constant 0/1 array broadcastable to `a`; fully masked
-    slices produce all-zero output rather than NaN.
+    slices produce all-zero output rather than NaN.  A NaN score makes its
+    slice NaN (so a finiteness check downstream sees it).
     """
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
+    m = np.asarray(mask, dtype=bool)
     neg_inf = np.where(m, a.data, -np.inf)
+    if neg_inf.shape != a.shape:
+        raise DimensionError(f"masked_softmax: mask {m.shape} does not broadcast to {a.shape}")
     high = neg_inf.max(axis=axis, keepdims=True)
-    high = np.where(np.isfinite(high), high, 0.0)
-    e = np.where(m, np.exp(neg_inf - high), 0.0)
-    denom = e.sum(axis=axis, keepdims=True)
-    p = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+    high[~np.isfinite(high)] = 0.0
+    p = np.exp(neg_inf - high)          # exactly 0 where masked: the shift is finite
+    denom = p.sum(axis=axis, keepdims=True)
+    denom[denom == 0.0] = np.inf        # a fully masked slice: 0 / inf = 0
+    p /= denom
 
     def back(g, a=a, p=p, axis=axis):
         inner = (g * p).sum(axis=axis, keepdims=True)
@@ -444,12 +444,12 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis)
     n = a.data.size if axis is None else a.shape[axis]
+    kept = [1] * a.ndim if axis is None else list(a.shape)     # the keepdims shape
+    if axis is not None:
+        kept[axis] = 1
 
-    def back(g, a=a, axis=axis, n=n):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / n, a.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.shape))
+    def back(g, a=a, kept=kept, n=n):
+        _accum(a, np.broadcast_to(g.reshape(kept) / n, a.shape))
 
     return _make(a.data.mean(axis=axis), (a,), back, "mean")
 

@@ -224,7 +224,8 @@ def _js_loss(logits: Tensor) -> Tensor:
     twice the mean of logsigmoid(sign * logit) with sign +1 on the real
     half and -1 on the fake half, so one pass scores both halves.
     """
-    sign = np.repeat([1.0, -1.0], logits.shape[0] // 2)[:, None]
+    sign = np.ones((logits.shape[0], 1))
+    sign[logits.shape[0] // 2:] = -1.0
     return ad.mul(ad.mean(ad.logsigmoid(ad.mul(logits, Tensor(sign)))), -2.0)
 
 

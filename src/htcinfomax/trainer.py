@@ -215,10 +215,14 @@ class ParamRegistry:
 
     def gradients(self) -> np.ndarray:
         """The flat gradient vector, after copying in any gradient a caller
-        assigned directly (`p.grad = array`) so it takes part too."""
+        assigned directly (`p.grad = array`) so it takes part too, and
+        zeroing the block of any parameter without one, which may still
+        hold an earlier step's values."""
         self.layout()
         for p in self._params.values():
-            if p.grad is not None and p.grad is not p.grad_view:
+            if p.grad is None:
+                p.grad_view.fill(0.0)
+            elif p.grad is not p.grad_view:
                 np.copyto(p.grad_view, p.grad)
                 p.grad = p.grad_view
         return self.grad
@@ -388,12 +392,8 @@ def clip_gradients(registry: ParamRegistry, max_norm: float) -> float:
     the squares of finite values overflow.
     """
     grad = registry.gradients()
-    total = 0.0
     with np.errstate(over="ignore"):      # an overflow is reported below, as NumericError
-        for _, p in registry.items():
-            if p.grad is not None:
-                flat = p.grad.reshape(-1)
-                total += float(flat @ flat)
+        total = float(grad @ grad)
     if not math.isfinite(total):
         for name, p in registry.items():
             if p.grad is not None and not np.isfinite(p.grad).all():
