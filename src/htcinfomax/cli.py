@@ -213,8 +213,13 @@ def _parse_seeds(args, file_seed) -> list:
             raise UsageError(f"--seeds must be a comma-separated integer list, got {args.seeds!r}") from None
         if not seeds:
             raise UsageError("--seeds is empty")
-        if len(set(seeds)) != len(seeds):
-            raise UsageError("--seeds contains duplicates")
+        streams = {}       # derived_rng keys every stream on seed mod 2**32
+        for seed in seeds:
+            key = seed & 0xFFFFFFFF
+            if key in streams:
+                raise UsageError(f"--seeds {streams[key]} and {seed} select the same random "
+                                 "streams: seeds equal modulo 2**32 train identical runs")
+            streams[key] = seed
         return seeds
     return [args.seed if args.seed is not None else file_seed]
 
@@ -297,6 +302,8 @@ def cmd_train(args) -> int:
 
 def _load_for_inference(args, corpus: str):
     """Check the inputs, write the manifest, load the model, apply --threshold."""
+    if args.threshold is not None and not np.isfinite(args.threshold):
+        raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     data_path = _require_file(args.data, corpus)
     _write_manifest(Path(args.out), args.command, {"threshold": args.threshold},

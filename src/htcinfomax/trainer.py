@@ -334,14 +334,14 @@ class Adam:
                 raise ad.ContractError(f"missing gradient for parameter {name!r}")
         self.registry.gradients()
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2 = self.beta1, self.beta2
+        # Kingma & Ba's efficient form: with c1 = 1 - b1^t and c2 = 1 - b2^t,
+        #   lr * (m / c1) / (sqrt(v / c2) + eps) = step * m / (sqrt(v) + eps_hat)
+        # for step = lr * sqrt(c2) / c1 and eps_hat = eps * sqrt(c2)
+        root_c2 = math.sqrt(1.0 - b2 ** self.t)
+        step, eps_hat = self.lr * root_c2 / (1.0 - b1 ** self.t), self.eps * root_c2
         for data, g, m, v, a, b in self._chunks:
-            # the operations, and their order, of
-            #   m = b1 * m + (1 - b1) * g
-            #   v = b2 * v + (1 - b2) * (g * g)
-            #   data -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
             np.multiply(m, b1, out=m)
             np.multiply(g, 1.0 - b1, out=a)
             np.add(m, a, out=m)
@@ -349,12 +349,11 @@ class Adam:
             np.multiply(g, g, out=a)
             np.multiply(a, 1.0 - b2, out=a)
             np.add(v, a, out=v)
-            np.divide(v, correction2, out=a)
-            np.sqrt(a, out=a)
-            np.add(a, eps, out=a)
-            np.divide(m, correction1, out=b)
-            np.multiply(b, lr, out=b)
-            np.divide(b, a, out=b)
+            # data -= step * (m / (sqrt(v) + eps_hat))
+            np.sqrt(v, out=a)
+            np.add(a, eps_hat, out=a)
+            np.divide(m, a, out=b)
+            np.multiply(b, step, out=b)
             np.subtract(data, b, out=data)
         self.registry.zero_grad()
         # Once a step allocates nothing long-lived, glibc trims the top of the

@@ -446,6 +446,135 @@ def test_no_grad_suppresses_graph_recording():
     assert out._backward is None
 
 
+# -- the earlier numpy formulations of rewritten ops, kept as exact oracles ---------
+
+
+def previous_sigmoid(x):
+    out = np.empty_like(x)
+    nonneg = x >= 0
+    out[nonneg] = 1.0 / (1.0 + np.exp(-x[nonneg]))
+    ex = np.exp(x[~nonneg])
+    out[~nonneg] = ex / (1.0 + ex)
+    return out
+
+
+def previous_masked_softmax(x, mask, axis):
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    neg_inf = np.where(m, x, -np.inf)
+    high = neg_inf.max(axis=axis, keepdims=True)
+    high = np.where(np.isfinite(high), high, 0.0)
+    e = np.where(m, np.exp(neg_inf - high), 0.0)
+    denom = e.sum(axis=axis, keepdims=True)
+    return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+
+
+def previous_concat_grads(g, shapes, axis):
+    offsets = np.cumsum([0] + [shape[axis] for shape in shapes])
+    grads = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        index = [slice(None)] * g.ndim
+        index[axis] = slice(lo, hi)
+        grads.append(g[tuple(index)])
+    return grads
+
+
+def previous_mean_grad(g, shape, axis):
+    if axis is None:
+        return np.broadcast_to(g / int(np.prod(shape)), shape)
+    return np.broadcast_to(np.expand_dims(g, axis) / shape[axis], shape)
+
+
+def weighted_sum_grad(out, x, g):
+    """x.grad after backward of sum(out * g): the upstream gradient is exactly g."""
+    x.zero_grad()
+    ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+    return x.grad
+
+
+def test_sigmoid_matches_previous_formulation_at_extremes():
+    rng = np.random.default_rng(31)
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 700.5, -700.5, 745.2, -745.2,
+                         800.0, -800.0, 1e308, -1e308, 5e-324, -5e-324],
+                        rng.standard_normal(64) * 30])
+    new, old = ad._sigmoid_np(x), previous_sigmoid(x)
+    assert np.array_equal(new, old, equal_nan=True)
+    assert np.array_equal(np.signbit(new[~np.isnan(new)]), np.signbit(old[~np.isnan(old)]))
+
+
+@pytest.mark.parametrize("axis", [2, -1, 1])
+def test_masked_softmax_matches_previous_formulation(axis):
+    rng = np.random.default_rng(32)
+    x = rand(rng, 3, 4, 6)
+    mask = rng.random((3, 1, 6)) > 0.3 if axis != 1 else rng.random((3, 4, 1)) > 0.3
+    mask[1] = False                                 # a fully masked slice
+    out = ad.masked_softmax(x, mask, axis=axis)
+    expected = previous_masked_softmax(x.data, mask, axis)
+    assert np.array_equal(out.data, expected) and not np.signbit(out.data).any()
+    assert not out.data[1].any()
+    g = rng.standard_normal(out.shape)
+    inner = (g * expected).sum(axis=axis, keepdims=True)
+    assert np.array_equal(weighted_sum_grad(out, x, g), expected * (g - inner))
+
+
+def test_masked_softmax_propagates_a_nan_score():
+    # the previous formulation zeroed a slice holding a NaN score, which hid
+    # the NaN from total_loss's finiteness check; now the slice is NaN
+    scores = np.array([[1.0, np.nan, 0.5, 2.0], [0.3, -1.0, 4.0, 0.0]])
+    mask = np.array([[1, 1, 0, 1], [1, 0, 1, 1]], dtype=bool)
+    out = ad.masked_softmax(Tensor(scores), mask, axis=1).data
+    old = previous_masked_softmax(scores, mask, 1)
+    assert np.isnan(out[0]).all() and not old[0].any()
+    assert np.array_equal(out[1], old[1])
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_concat_gradients_match_previous_slicing(axis):
+    rng = np.random.default_rng(33)
+    shapes = []
+    for extent in (2, 3, 1):
+        shape = [2, 3, 4]
+        shape[axis] = extent
+        shapes.append(tuple(shape))
+    parts = [rand(rng, *shape) for shape in shapes]
+    out = ad.concat(parts, axis=axis)
+    assert np.array_equal(out.data, np.concatenate([p.data for p in parts], axis=axis))
+    g = rng.standard_normal(out.shape)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+    for p, expected in zip(parts, previous_concat_grads(g, shapes, axis)):
+        assert np.array_equal(p.grad, expected)
+
+
+@pytest.mark.parametrize("shapes,axis", [
+    ([(2, 3), (2, 3, 1)], 0),          # rank mismatch
+    ([(2, 3), (3, 3)], 1),             # extent mismatch off the concat axis
+    ([(2, 3, 4), (2, 5, 4)], 2),
+    ([], 0),                           # no parts
+])
+def test_concat_mismatch_is_dimension_error(shapes, axis):
+    with pytest.raises(ad.DimensionError, match="concat"):
+        ad.concat([Tensor(np.zeros(shape)) for shape in shapes], axis=axis)
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_mean_matches_previous_formulation(axis):
+    rng = np.random.default_rng(34)
+    x = rand(rng, 4, 5)
+    out = ad.mean(x, axis=axis)
+    assert np.array_equal(out.data, x.data.mean(axis=axis))
+    g = rng.standard_normal(out.shape)
+    assert np.array_equal(weighted_sum_grad(out, x, g), previous_mean_grad(g, x.shape, axis))
+
+
+@pytest.mark.parametrize("axes", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+def test_transpose_three_axes_matches_argsort_inverse(axes):
+    rng = np.random.default_rng(35)
+    x = rand(rng, 2, 3, 4)
+    out = ad.transpose(x, axes)
+    assert np.array_equal(out.data, x.data.transpose(axes))
+    g = rng.standard_normal(out.shape)
+    assert np.array_equal(weighted_sum_grad(out, x, g), g.transpose(np.argsort(axes)))
+
+
 # -- surface ----------------------------------------------------------------------
 
 

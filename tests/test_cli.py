@@ -167,6 +167,20 @@ def test_train_checkpoint_with_seeds_rejected(workspace, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("seeds,pair", [
+    ("0,4294967296", "0 and 4294967296"),
+    ("-1,4294967295", "-1 and 4294967295"),
+    ("3,5,3", "3 and 3"),
+])
+def test_train_seeds_selecting_the_same_streams_rejected(workspace, tmp_path, capsys, seeds, pair):
+    rc = cli.main(["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "r"), f"--seeds={seeds}", "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"--seeds {pair} select the same random streams" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_invalid_batch_size_combination(workspace, tmp_path, capsys):
     rc = cli.main(["train", "--data", str(workspace["data"]),
                    "--config", str(workspace["config"]),
@@ -263,6 +277,18 @@ def test_eval_missing_checkpoint_is_usage_error(workspace, tmp_path, capsys):
     rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--data", str(workspace["data"] / "test.jsonl")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_is_usage_error(workspace, tmp_path, capsys, command, threshold):
+    rc = cli.main([command, "--checkpoint", str(workspace["checkpoint"]),
+                   "--data", str(workspace["data"] / "test.jsonl"),
+                   "--out", str(tmp_path), f"--threshold={threshold}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "--threshold must be a finite number" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_eval_corrupt_checkpoint_is_runtime_error(workspace, tmp_path, capsys):

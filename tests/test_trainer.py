@@ -130,6 +130,31 @@ def test_adam_matches_reference_updates_over_many_steps():
         assert np.allclose(p.data, shadow, atol=1e-15)
 
 
+def test_adam_matches_textbook_formula_over_many_steps():
+    # each step starts from zero parameters, so the data after it is minus
+    # the update itself; the last column's gradients are tiny, so eps
+    # dominates its denominator at every step, t=1 included
+    rng = np.random.default_rng(2)
+    p = Tensor(np.zeros((3, 4)), requires_grad=True)
+    reg = ParamRegistry()
+    reg.register("w", {"v": p})
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = Adam(reg, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    m = np.zeros((3, 4))
+    v = np.zeros((3, 4))
+    for t in range(1, 241):
+        g = rng.standard_normal((3, 4)) * rng.choice([1e-3, 1.0, 50.0])
+        g[:, -1] = rng.standard_normal(3) * 1e-13
+        p.data[...] = 0.0
+        p.grad = g.copy()
+        opt.step()
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        update = lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        assert np.sqrt(v[:, -1] / (1 - b2 ** t)).max() < eps / 1000
+        assert -p.data == pytest.approx(update, rel=1e-12, abs=0)
+
+
 def test_adam_requires_gradients():
     reg = ParamRegistry()
     reg.register("w", {"v": Tensor(np.zeros(2), requires_grad=True)})
@@ -171,6 +196,28 @@ def test_clip_gradients_leaves_small_norms_alone():
     norm = clip_gradients(reg, 5.0)
     assert norm == pytest.approx(0.5)
     assert np.allclose(a.grad, [0.3, 0.4])
+
+
+def test_clip_norm_is_the_per_parameter_sum_and_ignores_stale_blocks():
+    rng = np.random.default_rng(3)
+    reg = ParamRegistry()
+    params = {name: Tensor(np.zeros(shape), requires_grad=True)
+              for name, shape in (("a", (3, 5)), ("b", (7,)), ("c", (2, 2, 3)))}
+    reg.register("g", params)
+    for name, p in params.items():
+        p.grad = rng.standard_normal(p.shape)
+    expected = np.sqrt(sum(float(p.grad.reshape(-1) @ p.grad.reshape(-1))
+                           for p in params.values()))
+    assert clip_gradients(reg, 0.0) == pytest.approx(expected, rel=1e-12)
+    # the next step leaves "b" without a gradient; its block keeps the last values
+    reg.zero_grad()
+    params["a"].grad = rng.standard_normal((3, 5))
+    params["c"].grad = rng.standard_normal((2, 2, 3))
+    assert reg.views(reg.grad)[1].any()
+    expected = np.sqrt(sum(float(params[n].grad.reshape(-1) @ params[n].grad.reshape(-1))
+                           for n in ("a", "c")))
+    assert clip_gradients(reg, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert params["b"].grad is None and not reg.views(reg.grad)[1].any()
 
 
 # -- config ------------------------------------------------------------------------
@@ -368,10 +415,10 @@ def test_clipping_and_adam_allocate_no_more_than_the_chunk_buffers():
 
 
 PINNED_TRAJECTORIES = {
-    "full": "498c75e093f5d18c",
-    "disable_mi": "00bc92c02d16b0d6",
-    "disable_label_prior": "addea00d0ce85cfe",
-    "base": "604b1786823a17be",
+    "full": "d567513180fbb7c4",
+    "disable_mi": "a78e754a14da0b4f",
+    "disable_label_prior": "67ce495dd65975e4",
+    "base": "5722c900f34f2a47",
 }
 
 
