@@ -281,12 +281,13 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
+    out = a.data.transpose(axes)        # numpy names a repeated or out-of-range axis
     inverse = tuple(axes.index(i) for i in range(len(axes)))
 
     def back(g, a=a, inverse=inverse):
         _accum(a, g.transpose(inverse))
 
-    return _make(a.data.transpose(axes), (a,), back, "transpose")
+    return _make(out, (a,), back, "transpose")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
