@@ -8,8 +8,8 @@ composed scalar function against central differences.
 
 Broadcasting is deliberately restricted: elementwise ops require identical
 shapes, except scalar-times-tensor; a trailing-axis bias vector is an
-operand of `matmul` and `conv1d`.  Everything runs single-threaded; a graph
-must not be shared across threads mid-pass.
+operand of `matmul`, `conv1d` and `token_conv`.  Everything runs
+single-threaded; a graph must not be shared across threads mid-pass.
 
 Gradient ownership: a parameter's first gradient is copied into its arena
 block, any other leaf's into an array of its own.  An op output keeps the
@@ -328,23 +328,32 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if table.ndim != 2:
         raise DimensionError(f"embedding_lookup expects a 2-D table, got {table.shape}")
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        bad = ids[(ids < 0) | (ids >= table.shape[0])][0]
-        raise IndexError(f"embedding id {bad} outside table of {table.shape[0]} rows")
+    _check_ids(ids, table.shape[0])
 
     def back(g, table=table, ids=ids):
-        if not table.requires_grad:
-            return
-        grad = table.grad
-        if grad is None:
-            grad = np.empty_like(table.data) if table.grad_view is None else table.grad_view
-            grad.fill(0.0)
-        elif grad is not table.grad_view:
-            grad = grad.copy()      # not ours to write into (module docstring)
-        np.add.at(grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        table.grad = grad
+        if table.requires_grad:
+            np.add.at(_row_grad(table), ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
 
     return _make(table.data[ids], (table,), back, "embedding_lookup")
+
+
+def _check_ids(ids: np.ndarray, rows: int):
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        bad = ids[(ids < 0) | (ids >= rows)][0]
+        raise IndexError(f"embedding id {bad} outside table of {rows} rows")
+
+
+def _row_grad(table: Tensor) -> np.ndarray:
+    """`table.grad`, made (zeroed) or copied first where needed, so row-wise
+    contributions can add into it in place."""
+    grad = table.grad
+    if grad is None:
+        grad = np.empty_like(table.data) if table.grad_view is None else table.grad_view
+        grad.fill(0.0)
+    elif grad is not table.grad_view:
+        grad = grad.copy()      # not ours to write into (module docstring)
+    table.grad = grad
+    return grad
 
 
 # -- activations --------------------------------------------------------------
@@ -489,6 +498,35 @@ def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
 # -- convolution ---------------------------------------------------------------
 
 
+def _tap_spans(k: int, seq_len: int) -> list[tuple[int, int, int, int]]:
+    """(t, d, lo, hi) for each tap t of a width-k same-length convolution:
+    output rows lo..hi-1 read source rows lo+d..hi+d-1, where d = t - left;
+    the tap's other sources lie in the zero padding."""
+    left = (k - 1) // 2
+    return [(t, t - left, max(0, left - t), max(0, left - t, min(seq_len, seq_len + left - t)))
+            for t in range(k)]
+
+
+def _shift_taps(out: np.ndarray, y: np.ndarray, spans, c_out: int):
+    """out[:, s] = the sum over taps t of y[:, s + d, block t] (blocks of c_out
+    columns, one per tap), the centre tap first."""
+    left = (len(spans) - 1) // 2
+    out[...] = y[:, :, left * c_out:(left + 1) * c_out]
+    for t, d, lo, hi in spans:
+        if d:
+            out[:, lo:hi] += y[:, lo + d:hi + d, t * c_out:(t + 1) * c_out]
+
+
+def _unshift_taps(gy: np.ndarray, g: np.ndarray, spans, c_out: int):
+    """The adjoint of `_shift_taps`: gy[:, s + d, block t] = g[:, s], and zero
+    where no output row reads."""
+    for t, d, lo, hi in spans:
+        block = slice(t * c_out, (t + 1) * c_out)
+        gy[:, :lo + d, block] = 0.0
+        gy[:, lo + d:hi + d, block] = g[:, lo:hi]
+        gy[:, hi + d:, block] = 0.0
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Same-length 1-D cross-correlation over the sequence axis, plus
     bias[C_out] at every position.
@@ -509,29 +547,19 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise DimensionError(f"conv1d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
 
     # One GEMM gives every tap's response at every position, y[:, j, t] =
-    # x[:, j] @ kernel[t]; output row s adds y[:, s + d, t] for each tap t
-    # (d = t - left) whose source row is inside the sequence: rows lo..hi-1.
-    left = (k - 1) // 2
-    spans = [(t, t - left, max(0, left - t), max(0, left - t, min(seq_len, seq_len + left - t)))
-             for t in range(k)]
+    # x[:, j] @ kernel[t]; `_shift_taps` adds them into the output.
+    spans = _tap_spans(k, seq_len)
     w = kernel.data.transpose(1, 0, 2).reshape(c_in, k * c_out)
     x_flat = x.data.reshape(batch * seq_len, c_in)
-    y = (x_flat @ w).reshape(batch, seq_len, k, c_out)
-    out = y[:, :, left].copy()
-    for t, d, lo, hi in spans:
-        if t != left:
-            out[:, lo:hi] += y[:, lo + d : hi + d, t]
+    y = (x_flat @ w).reshape(batch, seq_len, k * c_out)
+    out = np.empty((batch, seq_len, c_out))
+    _shift_taps(out, y, spans, c_out)
     out = out.reshape(x.shape[:-1] + (c_out,))
     with_bias = _add_bias(out, bias, "conv1d")
 
     def back(g, x=x, kernel=kernel, bias=bias, x_flat=x_flat, w=w, spans=spans):
-        # the same shifts in reverse: gy[:, s + d, t] = g[:, s], zero elsewhere
-        g3 = g.reshape(batch, seq_len, c_out)
-        gy = np.empty((batch, seq_len, k, c_out))
-        for t, d, lo, hi in spans:
-            gy[:, : lo + d, t] = 0.0
-            gy[:, lo + d : hi + d, t] = g3[:, lo:hi]
-            gy[:, hi + d :, t] = 0.0
+        gy = np.empty((batch, seq_len, k * c_out))
+        _unshift_taps(gy, g.reshape(batch, seq_len, c_out), spans, c_out)
         gy = gy.reshape(batch * seq_len, k * c_out)
         if kernel.requires_grad:
             _accum(kernel, (x_flat.T @ gy).reshape(c_in, k, c_out).transpose(1, 0, 2))
@@ -541,6 +569,130 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             _accum(bias, g.sum(axis=tuple(range(g.ndim - 1))))
 
     return _make(out, (x, kernel) + with_bias, back, "conv1d")
+
+
+def _stacked_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> np.ndarray:
+    """Every kernel [k, C_in, C_out] laid out as [C_in, k*C_out], tap by tap,
+    side by side: [C_in, sum of k*C_out]."""
+    if embedding.ndim != 2:
+        raise DimensionError(f"token_conv expects a 2-D embedding table, got {embedding.shape}")
+    c_in = embedding.shape[1]
+    if not kernels or any(k.ndim != 3 or k.shape[1] != c_in for k in kernels):
+        raise DimensionError(f"token_conv kernels {[k.shape for k in kernels]} must be a non-empty "
+                             f"list of [k, {c_in}, C_out]")
+    return np.concatenate([k.data.transpose(1, 0, 2).reshape(c_in, k.shape[0] * k.shape[2])
+                           for k in kernels], axis=1)
+
+
+def _response_table(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w plus a last row of zeros, which masked positions read."""
+    table = np.empty((x.shape[0] + 1, w.shape[1]))
+    np.matmul(x, w, out=table[:-1])
+    table[-1] = 0.0
+    return table
+
+
+def token_responses(embedding: Tensor, kernels: Sequence[Tensor]) -> np.ndarray:
+    """`token_conv`'s response table over every embedding row.
+
+    A constant of the current parameters: inference computes it once for
+    many batches, and it is stale after they change.
+    """
+    return _response_table(embedding.data, _stacked_taps(embedding, kernels))
+
+
+def _occurrence_rounds(pos: np.ndarray, n: int) -> list[np.ndarray]:
+    """The indices i with pos[i] < n, in rounds within which no value of pos
+    repeats: round j holds each value's (j+1)-th occurrence."""
+    order = np.argsort(pos, kind="stable")[:np.count_nonzero(pos < n)]
+    ranked = pos[order]
+    first = np.ones(order.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    at = np.arange(order.size)
+    rank = at - np.maximum.accumulate(np.where(first, at, 0))
+    return [order[rank == j] for j in range(rank.max(initial=-1) + 1)]
+
+
+def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
+               ids, mask, responses: np.ndarray | None = None) -> Tensor:
+    """Parallel same-length convolutions over the embeddings of the unmasked
+    tokens, each plus its bias, concatenated on the channel axis.
+
+    The same linear map as `concat([conv1d(apply_mask(embedding_lookup(
+    embedding, ids), mask), kernel, bias) ...], axis=2)`, computed from a
+    response table: with W every kernel laid out as [C_in, k*C_out] side by
+    side, R = E[rows] @ W projects each distinct token once, and a branch's
+    output at position s adds, for each tap t, block t of the response of
+    the token at s + t - left.  Masked positions and positions outside the
+    sequence contribute nothing.
+
+    ids and mask are [B, S]; the output is [B, S, sum of C_out].  Without
+    `responses` the rows are the distinct ids at unmasked positions.
+    `responses` (`token_responses`) covers every embedding row, so the
+    responses a batch reads do not depend on the other tokens of its batch.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    valid = np.asarray(mask) != 0
+    if ids.ndim != 2 or valid.shape != ids.shape:
+        raise DimensionError(f"token_conv: ids {ids.shape} and mask {valid.shape} must share one [B, S]")
+    batch, seq_len = ids.shape
+    if seq_len < 1:
+        raise DomainError("token_conv over an empty sequence")
+    w = _stacked_taps(embedding, kernels)
+    if len(biases) != len(kernels) or any(b.shape != k.shape[2:] for k, b in zip(kernels, biases)):
+        raise DimensionError(f"token_conv: biases {[b.shape for b in biases]} do not match "
+                             f"kernels {[k.shape for k in kernels]}")
+    vocab = embedding.shape[0]
+    _check_ids(ids, vocab)
+    if responses is None:
+        rows, inverse = np.unique(ids[valid], return_inverse=True)
+        x = embedding.data[rows]
+        table = _response_table(x, w)
+        pos = np.full(ids.shape, rows.size)
+        pos[valid] = inverse
+    else:
+        if responses.shape != (vocab + 1, w.shape[1]):
+            raise DimensionError(f"token_conv: responses {responses.shape} do not cover "
+                                 f"{vocab} rows of {w.shape[1]} columns")
+        rows, x, table, pos = slice(None), embedding.data, responses, np.where(valid, ids, vocab)
+    y = table[pos]
+    branches = []       # (kernel, bias, its columns of y, its output channels, tap spans)
+    col = chan = 0
+    for kernel, bias in zip(kernels, biases):
+        k, _, c_out = kernel.shape
+        branches.append((kernel, bias, slice(col, col + k * c_out), slice(chan, chan + c_out),
+                         _tap_spans(k, seq_len)))
+        col, chan = col + k * c_out, chan + c_out
+    out = np.empty((batch, seq_len, chan))
+    for kernel, bias, cols, chans, spans in branches:
+        _shift_taps(out[:, :, chans], y[:, :, cols], spans, kernel.shape[2])
+        out[:, :, chans] += bias.data
+
+    def back(g, embedding=embedding, rows=rows, x=x, w=w, pos=pos, branches=branches):
+        gy = np.empty((batch, seq_len, w.shape[1]))
+        for kernel, bias, cols, chans, spans in branches:
+            _unshift_taps(gy[:, :, cols], g[:, :, chans], spans, kernel.shape[2])
+            _accum(bias, g[:, :, chans].sum(axis=(0, 1)))
+        # sum per distinct token, in rounds that each write distinct rows; the
+        # first round covers every row when the rows are the batch's own
+        gy, flat = gy.reshape(batch * seq_len, -1), pos.reshape(-1)
+        rounds = _occurrence_rounds(flat, x.shape[0])
+        covered = bool(rounds) and rounds[0].size == x.shape[0]
+        dr = (np.empty if covered else np.zeros)((x.shape[0], w.shape[1]))
+        for j, sel in enumerate(rounds):
+            if j:
+                dr[flat[sel]] += gy[sel]
+            else:
+                dr[flat[sel]] = gy[sel]
+        if any(kernel.requires_grad for kernel, *_ in branches):
+            dw = x.T @ dr
+            for kernel, _, cols, _, _ in branches:
+                k, c_in, c_out = kernel.shape
+                _accum(kernel, dw[:, cols].reshape(c_in, k, c_out).transpose(1, 0, 2))
+        if embedding.requires_grad:
+            _row_grad(embedding)[rows] += dr @ w.T
+
+    return _make(out, (embedding, *kernels, *biases), back, "token_conv")
 
 
 # -- adversarial routing --------------------------------------------------------

@@ -40,6 +40,7 @@ from .trainer import (
     CheckpointError,
     TrainConfig,
     evaluate,
+    iter_predictions,
     load_model,
     run_training,
 )
@@ -333,17 +334,15 @@ def cmd_predict(args) -> int:
     # labels are optional here and ignored: every document gets an empty label set
     docs = [Document(tokens=model.vocab.encode(tokens), labels=frozenset())
             for _, tokens, _ in read_raw_corpus(data_path)]
-    with ad.no_grad():
-        lr = model.structure_encoder()
-        for batch in make_batches(docs, model.config.batch_size, model.config.max_len, model.tax):
-            preds = model.predict(batch, lr)
-            for i in range(batch.size):
-                record = {
-                    "labels": [names[j] for j in range(model.num_labels)
-                               if preds.decisions[i, j] >= 1.0],
-                    "probs": {names[j]: float(preds.probs[i, j]) for j in range(model.num_labels)},
-                }
-                print(json.dumps(record, sort_keys=True))
+    batches = make_batches(docs, model.config.batch_size, model.config.max_len, model.tax)
+    for batch, preds in iter_predictions(batches, model):
+        for i in range(batch.size):
+            record = {
+                "labels": [names[j] for j in range(model.num_labels)
+                           if preds.decisions[i, j] >= 1.0],
+                "probs": {names[j]: float(preds.probs[i, j]) for j in range(model.num_labels)},
+            }
+            print(json.dumps(record, sort_keys=True))
     log.info("predicted %d documents", len(docs))
     return 0
 
@@ -408,10 +407,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value may start with "-" (a seed list such as -1,5, or -inf).
+# argparse reads such a value as an option unless it is a plain negative
+# number, so `main` passes it on in the --flag=value form.
+DASH_VALUE_FLAGS = ("--seeds", "--threshold")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in DASH_VALUE_FLAGS and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
         _setup_logging()
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (UsageError, ConfigError) as err:
         print(f"usage error: {err}", file=sys.stderr)

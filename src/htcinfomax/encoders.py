@@ -2,10 +2,11 @@
 
 The text encoder is an embedding layer followed by parallel same-length
 1-D convolutions (kernel widths 2/3/4 by default) whose channel outputs
-concatenate to the token feature width.  Label representations come from
-a two-layer graph convolution over the normalized taxonomy adjacency,
-seeded from a learned per-label embedding table.  Multi-label attention
-then pools token features once per label.
+concatenate to the token feature width; one op (`ad.token_conv`) computes
+them from each distinct token's responses to the kernels.  Label
+representations come from a two-layer graph convolution over the
+normalized taxonomy adjacency, seeded from a learned per-label embedding
+table.  Multi-label attention then pools token features once per label.
 """
 
 from __future__ import annotations
@@ -74,15 +75,16 @@ class TextEncoder:
             params[f"conv{k}.bias"] = bias
         return params
 
-    def __call__(self, batch: Batch) -> TextFeatures:
-        # Zero padding embeddings before the convolution: a document's
+    def responses(self) -> np.ndarray:
+        """Every vocabulary token's convolution responses (`ad.token_responses`),
+        for inference over many batches with the current parameters."""
+        return ad.token_responses(self.embedding, self.kernels)
+
+    def __call__(self, batch: Batch, responses: np.ndarray | None = None) -> TextFeatures:
+        # Padding tokens contribute nothing to the convolutions: a document's
         # features must not depend on how wide its batch was padded.
-        embedded = ad.apply_mask(ad.embedding_lookup(self.embedding, batch.token_ids), batch.mask)
-        branches = [
-            ad.conv1d(embedded, kernel, bias)
-            for kernel, bias in zip(self.kernels, self.biases)
-        ]
-        feats = ad.relu(ad.concat(branches, axis=2))
+        feats = ad.relu(ad.token_conv(self.embedding, self.kernels, self.biases,
+                                      batch.token_ids, batch.mask, responses))
         feats = ad.apply_mask(feats, batch.mask)
         pooled = ad.masked_mean(feats, batch.mask)
         return TextFeatures(token_feats=feats, pooled=pooled, mask=batch.mask)

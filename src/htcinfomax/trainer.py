@@ -15,6 +15,7 @@ import struct
 import time
 from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -274,14 +275,17 @@ class Model:
             self.registry.register("gate", self.gate.named_params())
         self.registry.layout()
 
-    def forward(self, batch: Batch, lr: LabelRepresentations | None = None
+    def forward(self, batch: Batch, lr: LabelRepresentations | None = None,
+                responses: np.ndarray | None = None
                 ) -> tuple[TextFeatures, LabelRepresentations, Predictions]:
         """The pass shared by training and inference.
 
-        The label representations depend on no document, so inference over
-        many batches computes them once (`lr`); None computes them here.
+        The label representations and the vocabulary's token responses
+        depend on no document, so inference over many batches computes them
+        once (`lr`, `responses`).  None computes the label representations
+        here and projects only the batch's own tokens.
         """
-        tf = self.text_encoder(batch)
+        tf = self.text_encoder(batch, responses)
         if lr is None:
             lr = self.structure_encoder()
         return tf, lr, self.head(multi_label_attention(tf, lr))
@@ -297,8 +301,45 @@ class Model:
         f_weight = self.gate(tf.pooled, lr) if self.gate is not None else None
         return total_loss(l_c, l_mi, l_pr, f_weight)
 
-    def predict(self, batch: Batch, lr: LabelRepresentations | None = None) -> Predictions:
-        return self.forward(batch, lr)[2]
+    def predict(self, batch: Batch, lr: LabelRepresentations | None = None,
+                responses: np.ndarray | None = None) -> Predictions:
+        """Predictions from the vocabulary's token responses (computed here
+        when None), so they do not depend on the batch's other documents."""
+        if responses is None:
+            responses = self.text_encoder.responses()
+        return self.forward(batch, lr, responses)[2]
+
+
+def param_shapes(config: TrainConfig, vocab_size: int, tax: Taxonomy) -> dict[str, tuple[int, ...]]:
+    """The registry's parameter names and shapes for `Model(tax, vocab, config)`,
+    derived without allocating any of them."""
+    d = config.dims
+    channels = d.feature_dim // len(d.text_kernels)
+    shapes = {"text.embedding": (vocab_size, d.embed_dim)}
+    for k in d.text_kernels:
+        shapes[f"text.conv{k}.kernel"] = (k, d.embed_dim, channels)
+        shapes[f"text.conv{k}.bias"] = (channels,)
+    y, t, n = d.label_dim, d.feature_dim, tax.num_labels
+    shapes.update({"structure.node_embedding": (tax.num_nodes, y),
+                   "structure.gcn0.weight": (y, y), "structure.gcn0.bias": (y,),
+                   "structure.gcn1.weight": (y, y), "structure.gcn1.bias": (y,),
+                   "head.weight": (n * t, n), "head.bias": (n,)})
+
+    def mlp(prefix, widths):
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), start=1):
+            shapes[f"{prefix}.lin{i}.weight"] = (fan_in, fan_out)
+            shapes[f"{prefix}.lin{i}.bias"] = (fan_out,)
+
+    if not config.disable_mi:
+        k, h = d.mi_kernel, d.mi_hidden
+        shapes.update({"mi.conv1.kernel": (k, t, t), "mi.conv1.bias": (t,),
+                       "mi.conv2.kernel": (k, t, h), "mi.conv2.bias": (h,)})
+        mlp("mi", (h + y, h, h, 1))
+    if not config.disable_label_prior:
+        mlp("prior", (y, *d.prior_hidden, 1))
+    if not (config.disable_mi or config.disable_label_prior):
+        shapes.update({"gate.w_text": (t, 1), "gate.w_label": (y, 1), "gate.bias": ()})
+    return shapes
 
 
 ADAM_CHUNK = 32768     # values per chunk: the working set of one chunk stays in cache
@@ -416,6 +457,18 @@ def train_step(batch: Batch, model: Model, optimizer: Adam, global_step: int) ->
     return bundle
 
 
+def iter_predictions(batches: Iterable[Batch], model: Model) -> Iterator[tuple[Batch, Predictions]]:
+    """(batch, predictions) for each batch, with no graph recorded; the label
+    representations and the vocabulary's token responses are computed once."""
+    with ad.no_grad():
+        lr = model.structure_encoder()
+        responses = model.text_encoder.responses()
+    for batch in batches:
+        with ad.no_grad():
+            preds = model.predict(batch, lr, responses)
+        yield batch, preds
+
+
 def evaluate(batches: list[Batch], model: Model) -> dict:
     """Pooled micro/macro F1 plus mean classification loss; mutates nothing."""
     if not batches:
@@ -424,14 +477,11 @@ def evaluate(batches: list[Batch], model: Model) -> dict:
     all_targets = []
     loss_sum = 0.0
     cell_count = 0
-    with ad.no_grad():
-        lr = model.structure_encoder()
-        for batch in batches:
-            preds = model.predict(batch, lr)
-            all_decisions.append(preds.decisions)
-            all_targets.append(batch.targets)
-            loss_sum += bce_loss(preds.logits, batch.targets).item() * batch.targets.size
-            cell_count += batch.targets.size
+    for batch, preds in iter_predictions(batches, model):
+        all_decisions.append(preds.decisions)
+        all_targets.append(batch.targets)
+        loss_sum += bce_loss(preds.logits, batch.targets).item() * batch.targets.size
+        cell_count += batch.targets.size
     decisions = np.concatenate(all_decisions, axis=0)
     targets = np.concatenate(all_targets, axis=0)
     return {
@@ -655,8 +705,17 @@ def load_model(path) -> Model:
         config = TrainConfig.from_dict(header["config"])
         tax = parse_taxonomy(header["taxonomy"])
         vocab = Vocabulary.from_json(header["vocab"])
+        config.validate()
+        # the stored shapes are bounded by the body; the config's widths are not
+        expected = param_shapes(config, len(vocab), tax)
     except (ValueError, AttributeError, KeyError, TypeError) as err:
         raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
+    stored = {name: values.shape for name, values in data["params"].items()}
+    for name in {**expected, **stored}:
+        if stored.get(name) != expected.get(name):
+            raise CheckpointError(f"{path} has a malformed header: its config implies parameter "
+                                  f"{name!r} of shape {expected.get(name)}, its body holds "
+                                  f"{stored.get(name)}")
     model = Model(tax, vocab, config)
     _apply_checkpoint(data, model, None)
     return model

@@ -315,6 +315,110 @@ def test_grad_conv1d_bias_ragged(k, batched):
     fd(f, {"x": x, "kern": kern, "bias": bias})
 
 
+# -- token_conv against the chain it replaces --------------------------------------
+
+
+def lookup_conv_chain(table, kernels, biases, ids, mask):
+    """The text encoder's former composition, kept as token_conv's oracle."""
+    embedded = ad.apply_mask(ad.embedding_lookup(table, ids), mask)
+    return ad.concat([ad.conv1d(embedded, k, b) for k, b in zip(kernels, biases)], axis=2)
+
+
+def assert_close(actual, expected):
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+TOKEN_CONV_CASES = {
+    # name: (kernel widths, ids [B, S], valid lengths)
+    "widths-1-to-4": ((1, 2, 3, 4), [[2, 5, 7, 1, 3, 4], [6, 2, 2, 8, 0, 5], [3, 3, 9, 4, 1, 7]],
+                      [6, 4, 2]),
+    "single-width-4": ((4,), [[2, 5, 7, 1, 3], [6, 2, 2, 8, 0]], [5, 3]),
+    "shorter-than-kernel": ((2, 3, 4), [[4, 7], [1, 1]], [2, 1]),
+    "length-one": ((1, 4), [[3], [5], [3]], [1, 1, 1]),
+    "one-id-everywhere": ((2, 3, 4), [[6] * 5] * 4, [5, 5, 2, 4]),
+}
+
+
+def token_conv_inputs(case, seed=0):
+    widths, ids, lengths = TOKEN_CONV_CASES[case]
+    ids = np.array(ids)
+    mask = (np.arange(ids.shape[1]) < np.array(lengths)[:, None]).astype(np.float64)
+    rng = np.random.default_rng(seed)
+    table = rand(rng, 10, 3)
+    kernels = [rand(rng, k, 3, 2) for k in widths]
+    biases = [rand(rng, 2) for _ in widths]
+    return table, kernels, biases, ids, mask
+
+
+@pytest.mark.parametrize("table_rows", ["batch", "vocabulary"])
+@pytest.mark.parametrize("case", sorted(TOKEN_CONV_CASES))
+def test_token_conv_matches_the_lookup_mask_conv_concat_chain(case, table_rows):
+    table, kernels, biases, ids, mask = token_conv_inputs(case)
+    params = [table, *kernels, *biases]
+    weights = Tensor(np.random.default_rng(1).standard_normal(ids.shape + (2 * len(kernels),)))
+    results = []
+    for f in (lookup_conv_chain, ad.token_conv):
+        args = (table, kernels, biases, ids, mask)
+        if f is ad.token_conv and table_rows == "vocabulary":
+            args += (ad.token_responses(table, kernels),)
+        for p in params:
+            p.zero_grad()
+        out = f(*args)
+        ad.backward(ad.sum_(ad.mul(out, weights)))
+        results.append([out.data] + [p.grad.copy() for p in params])
+    for actual, expected in zip(results[1], results[0]):
+        assert actual.shape == expected.shape
+        assert_close(actual, expected)
+
+
+@pytest.mark.parametrize("case", ["widths-1-to-4", "shorter-than-kernel", "one-id-everywhere"])
+def test_grad_token_conv(case):
+    table, kernels, biases, ids, mask = token_conv_inputs(case, seed=3)
+    weights = Tensor(np.random.default_rng(4).standard_normal(ids.shape + (2 * len(kernels),)))
+    params = {"table": table}
+    params.update({f"kernel{i}": k for i, k in enumerate(kernels)})
+    params.update({f"bias{i}": b for i, b in enumerate(biases)})
+    fd(lambda: ad.sum_(ad.mul(ad.token_conv(table, kernels, biases, ids, mask), weights)), params)
+
+
+def test_token_conv_writes_the_embedding_gradient_into_its_arena_block():
+    # a parameter's first gradient lands in grad_view; a second contribution adds to it
+    table, kernels, biases, ids, mask = token_conv_inputs("widths-1-to-4")
+    block = np.full(table.shape, np.nan)
+    table.grad_view = block
+    out = ad.token_conv(table, kernels, biases, ids, mask)
+    ad.backward(ad.add(ad.sum_(out), ad.sum_(ad.embedding_lookup(table, ids))))
+    assert table.grad is block
+    fresh, *_ = token_conv_inputs("widths-1-to-4")
+    ad.backward(ad.add(ad.sum_(lookup_conv_chain(fresh, kernels, biases, ids, mask)),
+                       ad.sum_(ad.embedding_lookup(fresh, ids))))
+    assert_close(block, fresh.grad)
+
+
+def test_token_conv_rounds_add_each_position_once():
+    pos = np.array([4, 1, 4, 9, 4, 1, 0, 9])      # 9 marks a masked position
+    rounds = ad._occurrence_rounds(pos, 9)
+    assert [r.tolist() for r in rounds] == [[6, 1, 0], [5, 2], [4]]
+    assert ad._occurrence_rounds(np.array([9, 9]), 9) == []
+
+
+def test_token_conv_errors():
+    table, kernels, biases, ids, mask = token_conv_inputs("widths-1-to-4")
+    with pytest.raises(ad.DimensionError, match="mask"):
+        ad.token_conv(table, kernels, biases, ids, mask[:, :-1])
+    with pytest.raises(ad.DimensionError, match="biases"):
+        ad.token_conv(table, kernels, biases[:-1], ids, mask)
+    with pytest.raises(ad.DimensionError, match="kernels"):
+        ad.token_conv(table, [rand(np.random.default_rng(0), 2, 4, 2)], biases[:1], ids, mask)
+    with pytest.raises(ad.DimensionError, match="responses"):
+        ad.token_conv(table, kernels, biases, ids, mask, np.zeros((10, 20)))
+    with pytest.raises(IndexError, match="id 10"):
+        ad.token_conv(table, kernels, biases, np.full(ids.shape, 10), mask)
+    with pytest.raises(ad.DomainError):
+        ad.token_conv(table, kernels, biases, np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
+
+
 def test_grad_embedding_accumulates_repeated_ids():
     table = Tensor(np.ones((3, 2)), requires_grad=True)
     ids = np.array([0, 0, 2])

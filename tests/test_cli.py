@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from htcinfomax import autodiff as ad
-from htcinfomax import cli
+from htcinfomax import cli, trainer
 from htcinfomax.dataio import load_corpus, make_batches
 from htcinfomax.trainer import load_model, read_checkpoint
 
@@ -181,6 +181,39 @@ def test_train_seeds_selecting_the_same_streams_rejected(workspace, tmp_path, ca
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--seeds", "-1,4294967295"], "--seeds -1 and 4294967295 select the same"),
+    (["eval", "--threshold", "-inf"], "--threshold must be a finite number, got -inf"),
+    (["predict", "--threshold", "-nan"], "--threshold must be a finite number, got nan"),
+])
+def test_values_starting_with_a_dash_reach_their_flag(workspace, tmp_path, capsys, argv, message):
+    # argparse alone reads "-1,4294967295" and "-inf" as options ("expected one argument")
+    command, flag, value = argv
+    rest = (["--data", str(workspace["data"]), "--config", str(workspace["config"])]
+            if command == "train" else
+            ["--checkpoint", str(workspace["checkpoint"]), "--data", str(workspace["data"] / "test.jsonl")])
+    rc = cli.main([command, *rest, "--out", str(tmp_path / "r"), flag, value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "expected one argument" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_a_negative_seed_list_trains_as_a_separate_value(workspace, tmp_path, capsys):
+    rc = cli.main(["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "r"), "--seeds", "-3,4", "--epochs", "1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["seeds"] == [-3, 4]
+
+
+def test_a_flag_missing_its_value_is_still_a_usage_error(workspace, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["eval", "--checkpoint", str(workspace["checkpoint"]),
+                  "--data", str(workspace["data"] / "test.jsonl"), "--threshold", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--threshold: expected one argument" in capsys.readouterr().err
+
+
 def test_train_invalid_batch_size_combination(workspace, tmp_path, capsys):
     rc = cli.main(["train", "--data", str(workspace["data"]),
                    "--config", str(workspace["config"]),
@@ -328,6 +361,26 @@ def test_bad_parameter_shape_in_checkpoint_header_is_runtime_error(
                    "--out", str(tmp_path)])
     assert rc == 1
     assert "corrupt header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_config_wider_than_its_body_is_runtime_error(
+        workspace, tmp_path, capsys, monkeypatch, command):
+    # embed_dim 10**9 over a body of tiny parameters: refused before any allocation
+    blob = workspace["checkpoint"].read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    header["config"]["dims"]["embed_dim"] = 10**9
+    edited = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + length:])
+    monkeypatch.setattr(trainer, "Model", lambda *args: pytest.fail("Model built"))
+    rc = cli.main([command, "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "test.jsonl"),
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "malformed header" in err and "'text.embedding'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

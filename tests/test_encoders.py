@@ -80,6 +80,18 @@ def test_mi_pool_text_padding_width_does_not_change_features():
     assert np.array_equal(pooled_narrow, pooled_wide)
 
 
+def test_text_encoder_vocabulary_table_matches_the_batch_table():
+    # inference reads every token's responses from one table over the
+    # vocabulary; training projects only the batch's unmasked tokens
+    enc = make_text_encoder(vocab=12)
+    batch = make_batch([[2, 3, 4, 3, 11], [5, 6], [7, 7, 7, 2]])
+    per_batch = enc(batch)
+    whole = enc(batch, enc.responses())
+    for a, b in ((whole.token_feats, per_batch.token_feats), (whole.pooled, per_batch.pooled)):
+        np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-12 * np.abs(b.data).max())
+    assert enc.responses().shape == (13, (2 + 3 + 4) * 2)
+
+
 def test_text_encoder_rejects_indivisible_feature_dim():
     with pytest.raises(ad.DimensionError):
         make_text_encoder(feature_dim=7)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from htcinfomax import autodiff as ad
+from htcinfomax import trainer
 from htcinfomax.autodiff import Tensor
 from htcinfomax.dataio import (DataError, Document, GeneratorConfig, Vocabulary,
                                build_vocab_from_file, generate_synthetic, load_corpus,
@@ -27,7 +28,9 @@ from htcinfomax.trainer import (
     clip_gradients,
     derive_seed,
     evaluate,
+    iter_predictions,
     load_model,
+    param_shapes,
     read_checkpoint,
     restore_checkpoint,
     run_training,
@@ -316,8 +319,8 @@ def test_backward_writes_every_parameter_gradient_into_its_arena_view(flags):
 
 
 @pytest.mark.parametrize("flags,nodes", [
-    ({}, 117), ({"disable_mi": True}, 64), ({"disable_label_prior": True}, 80),
-    ({"disable_mi": True, "disable_label_prior": True}, 44)])
+    ({}, 112), ({"disable_mi": True}, 59), ({"disable_label_prior": True}, 75),
+    ({"disable_mi": True, "disable_label_prior": True}, 39)])
 def test_tape_nodes_per_step_are_pinned(flags, nodes):
     # one prior-discriminator pass over real and fake rows, one gate product
     model = Model(TAX, VOCAB, tiny_config(**flags))
@@ -415,10 +418,10 @@ def test_clipping_and_adam_allocate_no_more_than_the_chunk_buffers():
 
 
 PINNED_TRAJECTORIES = {
-    "full": "d567513180fbb7c4",
-    "disable_mi": "a78e754a14da0b4f",
-    "disable_label_prior": "67ce495dd65975e4",
-    "base": "5722c900f34f2a47",
+    "full": "083a9500b28307af",
+    "disable_mi": "dc113f26b7fd74d4",
+    "disable_label_prior": "f1cf832bb76ea6c2",
+    "base": "be536bb4b07f10e2",
 }
 
 
@@ -513,6 +516,51 @@ def test_evaluate_computes_label_representations_once(monkeypatch):
         for batch in batches:
             assert np.array_equal(model.predict(batch, lr).logits.data,
                                   model.predict(batch).logits.data)
+
+
+def test_inference_projects_the_vocabulary_once_per_call(monkeypatch):
+    model = Model(TAX, VOCAB, tiny_config())
+    docs = tiny_docs(5) + [Document(tokens=(3, 4), labels=tiny_docs(1)[0].labels)]
+    batches = make_batches(docs, 2, 8, TAX)
+    calls = []
+    responses = type(model.text_encoder).responses
+    monkeypatch.setattr(type(model.text_encoder), "responses",
+                        lambda self: calls.append(1) or responses(self))
+    evaluate(batches, model)
+    assert len(calls) == 1
+    # Model.predict builds the same vocabulary table, so a batch alone gives
+    # exactly the predictions the shared one does
+    for batch, preds in iter_predictions(batches, model):
+        alone = model.predict(batch)
+        assert np.array_equal(preds.probs, alone.probs)
+        assert not preds.logits.requires_grad
+    assert len(calls) == 2 + len(batches)
+    # projecting only the batch's tokens, as training does, is the same map
+    for batch, preds in iter_predictions(batches, model):
+        with ad.no_grad():
+            per_batch = model.forward(batch)[2]
+        np.testing.assert_allclose(per_batch.probs, preds.probs, rtol=1e-12, atol=0)
+
+
+def test_iter_predictions_records_no_graph_and_restores_recording():
+    model = Model(TAX, VOCAB, tiny_config())
+    predictions = iter_predictions(make_batches(tiny_docs(4), 2, 8, TAX), model)
+    _, preds = next(predictions)
+    assert not preds.logits.requires_grad
+    # between batches, and after the caller stops early, graphs record as usual
+    total, _ = model.losses(make_batches(tiny_docs(2), 2, 8, TAX)[0], prior_seed=0)
+    assert total.requires_grad
+
+
+@pytest.mark.parametrize("flags", [{}, {"disable_mi": True}, {"disable_label_prior": True},
+                                   {"disable_mi": True, "disable_label_prior": True}])
+@pytest.mark.parametrize("kernels", [(2, 3, 4), (1, 5), (3,)])
+def test_param_shapes_match_the_registry(flags, kernels):
+    dims = ModelDims(embed_dim=7, feature_dim=6, label_dim=6, mi_hidden=4, mi_kernel=2,
+                     prior_hidden=(5, 3), text_kernels=kernels)
+    config = tiny_config(dims=dims, **flags)
+    model = Model(TAX, VOCAB, config)
+    assert param_shapes(config, len(VOCAB), TAX) == {n: p.shape for n, p in model.registry.items()}
 
 
 # -- checkpointing -----------------------------------------------------------------
@@ -654,6 +702,24 @@ def test_checkpoint_malformed_config_rejected(tmp_path):
     _rewrite_header(path, bad_dims)
     with pytest.raises(CheckpointError, match="malformed header"):
         load_model(path)
+
+
+def test_load_model_compares_shapes_before_building_the_model(tmp_path, monkeypatch):
+    # a header whose widths would allocate gigabytes, over a tiny body
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+
+    def huge(header):
+        parsed = json.loads(header)
+        parsed["config"]["dims"]["embed_dim"] = 10**9
+        return json.dumps(parsed).encode("utf-8")
+
+    _rewrite_header(path, huge)
+    built = []
+    monkeypatch.setattr(trainer, "Model", lambda *args: built.append(args))
+    with pytest.raises(CheckpointError, match=r"'text.embedding' of shape \(10, 1000000000\)"):
+        load_model(path)
+    assert built == []
 
 
 @pytest.mark.parametrize("key,value", [("clip_norm", "z"), ("threshold", None),
