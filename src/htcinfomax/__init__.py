@@ -7,108 +7,11 @@ discriminator matching label representations to a uniform prior.  A learned
 sigmoid gate balances the two extra losses against classification.
 """
 
-from .autodiff import (
-    ContractError,
-    DimensionError,
-    DomainError,
-    Tensor,
-    backward,
-    finite_difference_check,
-    no_grad,
-)
-from .dataio import (
-    Batch,
-    ConfigError,
-    DataError,
-    Document,
-    GeneratorConfig,
-    Vocabulary,
-    build_vocab,
-    derived_rng,
-    generate_synthetic,
-    load_corpus,
-    make_batches,
-)
-from .encoders import StructureEncoder, TextEncoder, multi_label_attention
-from .infomax import (
-    LossBundle,
-    LossWeightEstimator,
-    MIDiscriminator,
-    NumericError,
-    PriorDiscriminator,
-    mi_loss,
-    prior_matching_loss,
-    sample_prior,
-    total_loss,
-)
-from .predictor import PredictorHead, bce_loss, macro_f1, micro_f1
-from .taxonomy import Taxonomy, TaxonomyError, load_taxonomy, normalized_adjacency, parse_taxonomy
-from .trainer import (
-    Adam,
-    CheckpointError,
-    Model,
-    ModelDims,
-    TrainConfig,
-    evaluate,
-    load_model,
-    restore_checkpoint,
-    run_training,
-    save_checkpoint,
-    train_step,
-)
+from .dataio import GeneratorConfig, generate_synthetic
+from .infomax import LossBundle
+from .predictor import macro_f1, micro_f1
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adam",
-    "Batch",
-    "CheckpointError",
-    "ConfigError",
-    "ContractError",
-    "DataError",
-    "DimensionError",
-    "Document",
-    "DomainError",
-    "GeneratorConfig",
-    "LossBundle",
-    "LossWeightEstimator",
-    "MIDiscriminator",
-    "Model",
-    "ModelDims",
-    "NumericError",
-    "PredictorHead",
-    "PriorDiscriminator",
-    "StructureEncoder",
-    "Taxonomy",
-    "TaxonomyError",
-    "Tensor",
-    "TextEncoder",
-    "TrainConfig",
-    "Vocabulary",
-    "backward",
-    "bce_loss",
-    "build_vocab",
-    "derived_rng",
-    "evaluate",
-    "finite_difference_check",
-    "generate_synthetic",
-    "load_corpus",
-    "load_model",
-    "load_taxonomy",
-    "macro_f1",
-    "make_batches",
-    "mi_loss",
-    "micro_f1",
-    "multi_label_attention",
-    "no_grad",
-    "normalized_adjacency",
-    "parse_taxonomy",
-    "prior_matching_loss",
-    "restore_checkpoint",
-    "run_training",
-    "sample_prior",
-    "save_checkpoint",
-    "total_loss",
-    "train_step",
-    "__version__",
-]
+__all__ = ["GeneratorConfig", "LossBundle", "generate_synthetic", "macro_f1", "micro_f1",
+           "__version__"]

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .dataio import (
+    DEFAULT_SEED,
     ConfigError,
     DataError,
     Document,
@@ -72,26 +73,21 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _load_config_file(path, allowed: set[str], what: str) -> dict:
+def _load_config_file(path) -> dict:
     p = _require_file(path, "config file")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise UsageError(f"config file {p} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {p} must hold a JSON object")
-    unknown = set(data) - allowed
-    if unknown:
-        raise UsageError(f"config file {p} has unknown {what} keys: {sorted(unknown)}")
     return data
 
 
-def _resolve(defaults: dict, file_cfg: dict, flag_cfg: dict) -> dict:
-    """defaults < config file < flags; None flag values mean 'not given'."""
-    out = dict(defaults)
-    out.update(file_cfg)
-    out.update({k: v for k, v in flag_cfg.items() if v is not None})
-    return out
+def _resolve(file_cfg: dict, flag_cfg: dict) -> dict:
+    """config file < flags; None flag values mean 'not given'.  Keys neither
+    sets keep the settings class's defaults."""
+    return {**file_cfg, **{k: v for k, v in flag_cfg.items() if v is not None}}
 
 
 def _write_manifest(out_dir, command: str, config: dict, inputs: dict, outputs: dict) -> Path:
@@ -124,30 +120,18 @@ def _table(rows: list[tuple[str, object]], title: str):
 
 
 def cmd_gendata(args) -> int:
-    allowed = {f.name for f in fields(GeneratorConfig)}
-    file_cfg = _load_config_file(args.config, allowed, "generator") if args.config else {}
-    flag_cfg = {
-        "depth": args.depth, "branching": args.branching,
-        "vocab_per_label": args.vocab_per_label, "docs_per_label": args.docs_per_label,
-        "doc_len": args.doc_len, "imbalance_exponent": args.imbalance_exponent,
-        "noise_rate": args.noise_rate,
-        "val_docs_per_label": args.val_docs_per_label,
-        "test_docs_per_label": args.test_docs_per_label,
-    }
-    defaults = {f.name: getattr(GeneratorConfig(), f.name) for f in fields(GeneratorConfig)}
-    resolved = _resolve(defaults, file_cfg, flag_cfg)
-    config = GeneratorConfig(**resolved)
-    config.validate()
-    seed = args.seed if args.seed is not None else 7
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    config = GeneratorConfig.from_dict(
+        _resolve(file_cfg, {f.name: getattr(args, f.name) for f in fields(GeneratorConfig)}))
 
     out_dir = Path(args.out)
     outputs = {name: out_dir / f"{name}.jsonl" for name in ("train", "val", "test")}
     outputs["taxonomy"] = out_dir / "taxonomy.txt"
     outputs["manifest"] = out_dir / "manifest.json"
     inputs = {"config_file": args.config} if args.config else {}
-    _write_manifest(out_dir, "gendata", {**resolved, "seed": seed}, inputs, outputs)
+    _write_manifest(out_dir, "gendata", {**config.to_dict(), "seed": args.seed}, inputs, outputs)
 
-    manifest = generate_synthetic(config, seed, out_dir)
+    manifest = generate_synthetic(config, args.seed, out_dir)
     tax = load_taxonomy(out_dir / "taxonomy.txt")
     tax_stats = stats(tax)
     _table([
@@ -160,7 +144,7 @@ def cmd_gendata(args) -> int:
     ], f"synthetic corpus at {out_dir}")
     print(json.dumps({
         "out_dir": str(out_dir),
-        "seed": seed,
+        "seed": args.seed,
         "label_count": tax_stats["label_count"],
         "depth": tax_stats["depth"],
         "avg_labels_per_doc": manifest["avg_labels_per_doc"],
@@ -173,40 +157,35 @@ def cmd_gendata(args) -> int:
 # -- train -----------------------------------------------------------------------
 
 
-def _load_train_config_file(args) -> dict:
-    """The --config file's settings; output paths come only from flags."""
-    if not args.config:
-        return {}
-    file_cfg = _load_config_file(args.config, {f.name for f in fields(TrainConfig)}, "training")
+def _train_settings(args) -> dict:
+    """The --config file's settings overlaid by the flags.  The file may not
+    set the output paths: --out and --checkpoint place them per run."""
+    file_cfg = _load_config_file(args.config) if args.config else {}
     for key in ("checkpoint_path", "log_path"):
         if key in file_cfg:
             raise UsageError(f"config file {args.config} sets {key}; "
                              "outputs are placed by --out and --checkpoint")
-    return file_cfg
-
-
-def _build_train_config(args, file_cfg: dict, seed, checkpoint_path, log_path) -> TrainConfig:
-    flag_cfg = {
+    return _resolve(file_cfg, {
         "epochs": args.epochs, "batch_size": args.batch_size,
         "learning_rate": args.lr, "threshold": args.threshold,
         "disable_mi": True if args.disable_mi else None,
         "disable_label_prior": True if args.disable_label_prior else None,
-    }
-    defaults = TrainConfig().to_dict()
-    resolved = _resolve(defaults, file_cfg, flag_cfg)
-    resolved["seed"] = seed
-    resolved["checkpoint_path"] = str(checkpoint_path)
-    resolved["log_path"] = str(log_path)
+    })
+
+
+def _build_train_config(settings: dict, seed, checkpoint_path, log_path) -> TrainConfig:
     try:
-        config = TrainConfig.from_dict(resolved)
+        config = TrainConfig.from_dict({**settings, "seed": seed,
+                                        "checkpoint_path": str(checkpoint_path),
+                                        "log_path": str(log_path)})
         config.validate()
-    except (ValueError, ad.DimensionError) as err:
+    except ValueError as err:      # DimensionError included
         raise UsageError(str(err)) from None
     return config
 
 
 def _parse_seeds(args, file_seed) -> list:
-    """--seeds, else --seed, else the config file's seed, else 7."""
+    """--seeds, else --seed, else the config file's seed, else the default."""
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -234,8 +213,8 @@ def cmd_train(args) -> int:
     val_path = val_path if val_path.is_file() else None
     tax_path = _require_file(args.taxonomy or data_dir / "taxonomy.txt", "taxonomy")
 
-    file_cfg = _load_train_config_file(args)
-    seeds = _parse_seeds(args, file_cfg.get("seed", 7))
+    settings = _train_settings(args)
+    seeds = _parse_seeds(args, settings.get("seed", DEFAULT_SEED))
     if args.checkpoint and len(seeds) > 1:
         raise UsageError("--checkpoint names a single file; it cannot be combined with --seeds")
 
@@ -245,7 +224,7 @@ def cmd_train(args) -> int:
         suffix = f"_seed{seed}" if len(seeds) > 1 else ""
         ckpt = Path(args.checkpoint) if args.checkpoint else out_dir / f"model{suffix}.ckpt"
         logp = out_dir / f"train_log{suffix}.jsonl"
-        plans.append((seed, _build_train_config(args, file_cfg, seed, ckpt, logp)))
+        plans.append((seed, _build_train_config(settings, seed, ckpt, logp)))
 
     inputs = {"train": train_path, "taxonomy": tax_path}
     if val_path:
@@ -361,16 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gendata", help="write a synthetic corpus and taxonomy")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--config", help="JSON file of generator settings")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--depth", type=int)
-    gen.add_argument("--branching", type=int)
-    gen.add_argument("--vocab-per-label", type=int, dest="vocab_per_label")
-    gen.add_argument("--docs-per-label", type=int, dest="docs_per_label")
-    gen.add_argument("--doc-len", type=int, dest="doc_len")
-    gen.add_argument("--imbalance-exponent", type=float, dest="imbalance_exponent")
-    gen.add_argument("--noise-rate", type=float, dest="noise_rate")
-    gen.add_argument("--val-docs-per-label", type=int, dest="val_docs_per_label")
-    gen.add_argument("--test-docs-per-label", type=int, dest="test_docs_per_label")
+    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for f in fields(GeneratorConfig):     # --doc-len sets doc_len; float fields take floats
+        gen.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                         type=float if f.type == "float" else int)
     gen.set_defaults(func=cmd_gendata)
 
     tr = sub.add_parser("train", help="train a model; flags select ablations")

@@ -55,19 +55,49 @@ def _is_real(value) -> bool:
 
 # (predicate, description) pairs for `_check_kinds`
 _INTEGER = (_is_int, "an integer")
+_POSITIVE = (_is_width, "a positive integer")
 _REAL = (_is_real, "a finite number")
 
+DEFAULT_SEED = 7      # gendata's --seed and TrainConfig.seed
 
-def _check_kinds(values: dict, kinds: dict, error: type[Exception]):
-    """Raise `error` on a key of `values` missing from `kinds` or on the first
-    value its (predicate, description) pair in `kinds` rejects."""
+
+def _check_kinds(values, kinds: dict, section: str, error: type[Exception]) -> dict:
+    """`values` ready for a settings dataclass: lists become tuples, and a
+    nested section is read by its own class.  Raises `error`, naming
+    `section.key`, on a non-object, on a key missing from `kinds` or on the
+    first value its kind rejects.  A kind is a (predicate, description) pair
+    or a nested `Settings` class."""
+    if not isinstance(values, dict):
+        raise error(f"{section} must be a JSON object, got {values!r}")
     unknown = set(values) - set(kinds)
     if unknown:
-        raise error(f"unknown keys: {sorted(unknown)}")
+        raise error(f"unknown {section} keys: {sorted(unknown)}")
+    out = {}
     for name, value in values.items():
-        ok, what = kinds[name]
-        if not ok(value):
-            raise error(f"{name} must be {what}, got {value!r}")
+        kind = kinds[name]
+        if isinstance(kind, type):
+            value = kind.from_dict(value)
+        elif not kind[0](value):
+            raise error(f"{section}.{name} must be {kind[1]}, got {value!r}")
+        out[name] = tuple(value) if isinstance(value, list) else value
+    return out
+
+
+class Settings:
+    """Base of the settings dataclasses: each names its `SECTION` for
+    messages and declares its `KINDS` table, the one place that says which
+    keys it takes and of which kind.  JSON writes tuples as arrays, so
+    `from_dict(json.loads(json.dumps(s.to_dict())))` equals `s`."""
+
+    ERROR = ValueError
+
+    @classmethod
+    def from_dict(cls, values):
+        """An instance from a JSON object; missing keys keep their defaults."""
+        return cls(**_check_kinds(values, cls.KINDS, cls.SECTION, cls.ERROR))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def derived_rng(seed: int, *keys) -> np.random.Generator:
@@ -152,6 +182,8 @@ def read_raw_corpus(path):
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataError(f"{path}:{lineno}: malformed JSON ({err.msg})") from None
+            except RecursionError:
+                raise DataError(f"{path}:{lineno}: malformed JSON (nested too deeply)") from None
             if not isinstance(record, dict):
                 raise DataError(f"{path}:{lineno}: record is not a JSON object")
             tokens = record.get("token")
@@ -255,7 +287,7 @@ def make_batches(docs: list[Document], batch_size: int, max_len: int,
 
 
 @dataclass
-class GeneratorConfig:
+class GeneratorConfig(Settings):
     """Complete-tree synthetic corpus settings.
 
     Each label owns `vocab_per_label` signature tokens.  A document picks a
@@ -275,33 +307,25 @@ class GeneratorConfig:
     val_docs_per_label: int | None = None
     test_docs_per_label: int | None = None
 
+    SECTION = "gendata"
+    ERROR = ConfigError
+    KINDS = {
+        **dict.fromkeys(("depth", "vocab_per_label", "docs_per_label", "doc_len"), _POSITIVE),
+        "branching": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+        "imbalance_exponent": (lambda v: _is_real(v) and v >= 0, "a non-negative number"),
+        "noise_rate": (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]"),
+        **dict.fromkeys(("val_docs_per_label", "test_docs_per_label"),
+                        (lambda v: v is None or _is_count(v), "a non-negative integer or null")),
+    }
+
     def validate(self):
-        _check_kinds(vars(self), _GENERATOR_KINDS, ConfigError)
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1")
-        if self.branching < 2:
-            raise ConfigError("branching must be >= 2")
-        if self.vocab_per_label < 1 or self.docs_per_label < 1 or self.doc_len < 1:
-            raise ConfigError("vocab_per_label, docs_per_label, and doc_len must be >= 1")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ConfigError("noise_rate must lie in [0, 1]")
-        if self.imbalance_exponent < 0.0:
-            raise ConfigError("imbalance_exponent must be >= 0")
+        _check_kinds(vars(self), self.KINDS, self.SECTION, self.ERROR)
 
     def resolved_val_docs(self) -> int:
         return self.val_docs_per_label if self.val_docs_per_label is not None else max(1, self.docs_per_label // 5)
 
     def resolved_test_docs(self) -> int:
         return self.test_docs_per_label if self.test_docs_per_label is not None else max(1, self.docs_per_label // 5)
-
-
-_GENERATOR_KINDS = {
-    **dict.fromkeys(("depth", "branching", "vocab_per_label", "docs_per_label", "doc_len"),
-                    _INTEGER),
-    **dict.fromkeys(("imbalance_exponent", "noise_rate"), _REAL),
-    **dict.fromkeys(("val_docs_per_label", "test_docs_per_label"),
-                    (lambda v: v is None or _is_count(v), "a non-negative integer or null")),
-}
 
 
 def _complete_tree_lines(depth: int, branching: int) -> tuple[str, list[str]]:
@@ -385,7 +409,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int, out_dir) -> dict:
         paths[split] = str(path)
 
     manifest = {
-        "config": asdict(config),
+        "config": config.to_dict(),
         "seed": seed,
         "splits": {k: int(v) for k, v in splits.items()},
         "label_count": tax.num_labels,

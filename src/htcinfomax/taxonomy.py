@@ -117,28 +117,40 @@ def parse_taxonomy(text: str) -> Taxonomy:
     if parents[root]:
         raise TaxonomyError("root must not have a parent")
 
-    # Longest-path depth via DFS; a back edge on the active stack is a cycle.
-    depth_of: dict[int, int] = {root: 0}
-    on_stack: set[int] = set()
-
-    def visit(node: int, trail: list[int]):
-        if node in on_stack:
-            cycle = trail[trail.index(node):] + [node]
-            pretty = " -> ".join(labels[n] for n in cycle)
-            raise TaxonomyError(f"cycle detected: {pretty}")
-        on_stack.add(node)
-        for child in children[node]:
-            cand = depth_of[node] + 1
-            if cand > depth_of.get(child, -1):
-                depth_of[child] = cand
-                visit(child, trail + [node])
-        on_stack.discard(node)
-
-    visit(root, [])
-
-    unreachable = [labels[i] for i in range(len(labels)) if i not in depth_of]
+    # Loops, not recursion, so a deep chain parses.  Every node must be
+    # reachable from the root; then the nodes are released in topological
+    # order, each after all its parents, which fixes its longest-path depth.
+    # A node never released lies on or below a cycle.
+    reached, stack = {root}, [root]
+    while stack:
+        for child in children[stack.pop()]:
+            if child not in reached:
+                reached.add(child)
+                stack.append(child)
+    unreachable = [labels[i] for i in range(len(labels)) if i not in reached]
     if unreachable:
         raise TaxonomyError(f"orphan nodes not reachable from root: {', '.join(unreachable)}")
+    waiting = {node: len(ps) for node, ps in parents.items()}
+    depth_of = {root: 0}
+    ready = [root]
+    while ready:
+        node = ready.pop()
+        depth = depth_of[node] + 1
+        for child in children[node]:
+            if depth > depth_of.get(child, 0):
+                depth_of[child] = depth
+            waiting[child] -= 1
+            if not waiting[child]:
+                ready.append(child)
+    stuck = {node for node, count in waiting.items() if count}
+    if stuck:
+        # each stuck node has a stuck parent: walk parents until one repeats
+        trail, node = {}, min(stuck)          # node -> position on the walk
+        while node not in trail:
+            trail[node] = len(trail)
+            node = next(p for p in parents[node] if p in stuck)
+        cycle = [node] + list(trail)[trail[node]:][::-1]
+        raise TaxonomyError(f"cycle detected: {' -> '.join(labels[n] for n in cycle)}")
 
     depth = max(depth_of.values())
     return Taxonomy(labels=labels, root=root, children=children, depth=depth, parents=parents)

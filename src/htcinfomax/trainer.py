@@ -13,7 +13,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -21,8 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import (_INTEGER, _REAL, Batch, DataError, Document, Vocabulary, _check_kinds,
-                     _is_count, _is_width, derived_rng, make_batches)
+from .dataio import (_INTEGER, _POSITIVE, _REAL, DEFAULT_SEED, Batch, DataError, Document,
+                     Settings, Vocabulary, _is_count, _is_real, _is_width, derived_rng,
+                     make_batches)
 from .encoders import (LabelRepresentations, StructureEncoder, TextEncoder, TextFeatures,
                        multi_label_attention)
 from .infomax import (
@@ -52,7 +53,7 @@ def derive_seed(seed: int, *keys) -> int:
 
 
 @dataclass
-class ModelDims:
+class ModelDims(Settings):
     """Layer widths; defaults give the full-scale configuration."""
 
     embed_dim: int = 300
@@ -63,6 +64,15 @@ class ModelDims:
     mi_kernel: int = 3
     prior_hidden: tuple[int, int] = (1000, 200)
 
+    SECTION = "dims"
+    KINDS = {
+        **dict.fromkeys(("embed_dim", "feature_dim", "label_dim", "mi_hidden", "mi_kernel"),
+                        _POSITIVE),
+        **dict.fromkeys(("text_kernels", "prior_hidden"), (
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_width, v)),
+            "a list of positive integers")),
+    }
+
     def validate(self):
         if self.feature_dim != self.label_dim:
             raise ad.DimensionError("attention requires feature_dim == label_dim")
@@ -71,42 +81,35 @@ class ModelDims:
         if len(self.prior_hidden) != 2:
             raise ad.DimensionError("prior_hidden must hold exactly two widths")
 
-    @classmethod
-    def from_dict(cls, d) -> "ModelDims":
-        """Widths from a JSON object; ValueError on a non-object, an unknown key
-        or a value that is not a positive integer (a list of them for tuples)."""
-        if not isinstance(d, dict):
-            raise ValueError(f"dims must be a JSON object, got {d!r}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(d) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown dims keys: {sorted(unknown)}")
-        out = {}
-        for key, value in d.items():
-            if isinstance(defaults[key], tuple):
-                if not isinstance(value, (list, tuple)) or not all(map(_is_width, value)):
-                    raise ValueError(f"dims.{key} must list positive integers, got {value!r}")
-                value = tuple(value)
-            elif not _is_width(value):
-                raise ValueError(f"dims.{key} must be a positive integer, got {value!r}")
-            out[key] = value
-        return cls(**out)
-
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Settings):
     epochs: int = 20
     batch_size: int = 64
     learning_rate: float = 1e-3
-    seed: int = 7
+    seed: int = DEFAULT_SEED
     disable_mi: bool = False
     disable_label_prior: bool = False
     threshold: float = 0.5
     max_len: int = 64
-    clip_norm: float = 5.0
+    clip_norm: float = 5.0       # 0 turns gradient clipping off
     checkpoint_path: str | None = None
     log_path: str | None = None
     dims: ModelDims = field(default_factory=ModelDims)
+
+    SECTION = "train"
+    KINDS = {
+        "epochs": (_is_count, "a non-negative integer"),
+        "batch_size": _POSITIVE, "max_len": _POSITIVE,
+        "seed": _INTEGER,
+        "learning_rate": _REAL, "threshold": _REAL,
+        "clip_norm": (lambda v: _is_real(v) and v >= 0, "a non-negative number"),
+        **dict.fromkeys(("disable_mi", "disable_label_prior"),
+                        (lambda v: isinstance(v, bool), "true or false")),
+        **dict.fromkeys(("checkpoint_path", "log_path"),
+                        (lambda v: v is None or isinstance(v, str), "a string or null")),
+        "dims": ModelDims,
+    }
 
     def validate(self):
         if self.learning_rate <= 0:
@@ -114,36 +117,6 @@ class TrainConfig:
         if self.batch_size < 2 and not self.disable_mi:
             raise ValueError("batch_size must be >= 2 unless the MI loss is disabled")
         self.dims.validate()
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dims"]["text_kernels"] = list(self.dims.text_kernels)
-        d["dims"]["prior_hidden"] = list(self.dims.prior_hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d) -> "TrainConfig":
-        """Settings from a JSON object; ValueError on a non-object, an unknown
-        key or a value of the wrong kind (`_TRAIN_KINDS`, `ModelDims.from_dict`)."""
-        if not isinstance(d, dict):
-            raise ValueError(f"config must be a JSON object, got {d!r}")
-        d = dict(d)
-        dims = ModelDims.from_dict(d.pop("dims", {}))
-        _check_kinds(d, _TRAIN_KINDS, ValueError)
-        return cls(dims=dims, **d)
-
-
-_OPTIONAL_PATH = (lambda v: v is None or isinstance(v, str), "a string or null")
-_FLAG = (lambda v: isinstance(v, bool), "true or false")
-_TRAIN_KINDS = {
-    "epochs": (_is_count, "a non-negative integer"),
-    "batch_size": (_is_width, "a positive integer"),
-    "max_len": (_is_width, "a positive integer"),
-    "seed": _INTEGER,
-    "learning_rate": _REAL, "threshold": _REAL, "clip_norm": _REAL,
-    "disable_mi": _FLAG, "disable_label_prior": _FLAG,
-    "checkpoint_path": _OPTIONAL_PATH, "log_path": _OPTIONAL_PATH,
-}
 
 
 def _arena_zeros(size: int) -> np.ndarray:
@@ -511,7 +484,6 @@ def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxo
     restores parameters, optimizer state, and progress from a checkpoint
     so a split run reproduces an uninterrupted one.
     """
-    config.validate()
     for split, docs in (("training", train_docs), ("validation", val_docs)):
         if any(not doc.labels for doc in docs):
             raise DataError(f"{split} document with an empty label set")
@@ -645,7 +617,7 @@ def read_checkpoint(path) -> dict:
         if adam is not None and not (isinstance(adam, dict) and set(adam) == set(names) and all(
                 map(_is_count, adam.values())) and len(set(adam.values())) == 1):
             raise ValueError("adam must map exactly the parameter names to one step count")
-    except (ValueError, AttributeError, KeyError, TypeError) as err:
+    except (ValueError, AttributeError, KeyError, TypeError, RecursionError) as err:
         raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
     blocks = 1 if adam is None else 3
     counts = [math.prod(shape) for _, shape in layout]

@@ -2,13 +2,14 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from htcinfomax import autodiff as ad
 from htcinfomax import cli, trainer
-from htcinfomax.dataio import load_corpus, make_batches
+from htcinfomax.dataio import GeneratorConfig, load_corpus, make_batches
 from htcinfomax.trainer import load_model, read_checkpoint
 
 TINY_TRAIN_CONFIG = {
@@ -96,6 +97,51 @@ def test_gendata_rejects_unknown_config_keys(tmp_path, capsys):
 def test_gendata_invalid_flag_value_is_usage_error(tmp_path, capsys):
     rc = cli.main(["gendata", "--out", str(tmp_path / "d"), "--branching", "1"])
     assert rc == 2
+
+
+# Every GeneratorConfig field, so a field added later is covered with no edit here.
+GENERATOR_FIELDS = fields(GeneratorConfig)
+SMALL_CORPUS = {"depth": 2, "branching": 2, "vocab_per_label": 2, "docs_per_label": 2,
+                "doc_len": 2}
+
+
+def _field_value(f):
+    """A valid value for the field that no small corpus setting above uses."""
+    return 0.25 if f.type == "float" else 3
+
+
+def _gendata_config(tmp_path, capsys, argv) -> dict:
+    rc = cli.main(["gendata", "--out", str(tmp_path / "d"), *argv])
+    assert rc == 0, capsys.readouterr().err
+    return json.loads((tmp_path / "d" / "run_manifest.json").read_text(encoding="utf-8"))["config"]
+
+
+@pytest.mark.parametrize("f", GENERATOR_FIELDS, ids=lambda f: f.name)
+def test_gendata_flag_sets_each_generator_field(tmp_path, capsys, f):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps(SMALL_CORPUS), encoding="utf-8")
+    value = _field_value(f)
+    config = _gendata_config(tmp_path, capsys, ["--config", str(cfg),
+                                                f"--{f.name.replace('_', '-')}", str(value)])
+    assert config[f.name] == value and type(config[f.name]) is type(value)
+
+
+@pytest.mark.parametrize("f", GENERATOR_FIELDS, ids=lambda f: f.name)
+def test_gendata_config_file_sets_each_generator_field(tmp_path, capsys, f):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({**SMALL_CORPUS, f.name: _field_value(f)}), encoding="utf-8")
+    assert _gendata_config(tmp_path, capsys, ["--config", str(cfg)])[f.name] == _field_value(f)
+
+
+@pytest.mark.parametrize("f", GENERATOR_FIELDS, ids=lambda f: f.name)
+def test_gendata_config_file_value_of_wrong_kind_names_the_key(tmp_path, capsys, f):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({**SMALL_CORPUS, f.name: "x"}), encoding="utf-8")
+    rc = cli.main(["gendata", "--out", str(tmp_path / "d"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"gendata.{f.name} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
 
 
 # -- train ------------------------------------------------------------------------
@@ -245,6 +291,7 @@ def test_train_malformed_dims_is_usage_error(workspace, tmp_path, capsys, dims):
     ("train", "batch_size", None),
     ("train", "threshold", "a"),
     ("train", "clip_norm", "z"),
+    ("train", "clip_norm", -1.0),
     ("train", "checkpoint_path", "elsewhere.ckpt"),
     ("train", "log_path", "elsewhere.jsonl"),
 ])
@@ -511,6 +558,49 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+# A JSON parser recurses once per nesting level; each input refuses a
+# document nested deeper than it can parse with its own typed error.
+DEEP_JSON = "[" * 100_000
+
+
+def test_deeply_nested_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(DEEP_JSON, encoding="utf-8")
+    rc = cli.main(["gendata", "--out", str(tmp_path / "d"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config file {cfg} is not valid JSON" in err and "Traceback" not in err
+
+
+def test_deeply_nested_corpus_line_is_data_error(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("taxonomy.txt", "train.jsonl"):
+        (data / name).write_bytes((workspace["data"] / name).read_bytes())
+    lines = len((data / "train.jsonl").read_text(encoding="utf-8").splitlines())
+    with open(data / "train.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(DEEP_JSON + "\n")
+    rc = cli.main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"train.jsonl:{lines + 1}: malformed JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_deeply_nested_checkpoint_header_is_runtime_error(workspace, tmp_path, capsys, command):
+    blob = workspace["checkpoint"].read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = DEEP_JSON.encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + length:])
+    rc = cli.main([command, "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "corrupt header" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

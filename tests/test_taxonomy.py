@@ -94,6 +94,20 @@ def test_empty_text_rejected():
         parse_taxonomy("")
 
 
+def test_deep_chain_parses_without_recursion():
+    # deeper than the interpreter's recursion limit
+    text = "Root\tn1\n" + "".join(f"n{i}\tn{i + 1}\n" for i in range(1, 5000))
+    tax = parse_taxonomy(text)
+    assert tax.depth == 5000
+    assert tax.num_labels == 5000
+
+
+def test_cycle_below_a_deep_chain_is_named():
+    text = "Root\tn1\n" + "".join(f"n{i}\tn{i + 1}\n" for i in range(1, 3000)) + "n3000\tn2999\n"
+    with pytest.raises(TaxonomyError, match="cycle detected: n2999 -> n3000 -> n2999"):
+        parse_taxonomy(text)
+
+
 def test_dag_multi_parent_allowed():
     text = "Root\ta\tb\na\tc\nb\tc\n"
     tax = parse_taxonomy(text)

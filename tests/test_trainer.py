@@ -738,6 +738,21 @@ def test_checkpoint_config_of_wrong_kind_rejected(tmp_path, key, value):
         load_model(path)
 
 
+def test_checkpoint_config_with_negative_clip_norm_rejected(tmp_path):
+    # a negative clip_norm would silently turn clipping off
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+
+    def edit(header):
+        parsed = json.loads(header)
+        parsed["config"]["clip_norm"] = -1.0
+        return json.dumps(parsed).encode("utf-8")
+
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match="train.clip_norm must be a non-negative number"):
+        load_model(path)
+
+
 HOSTILE_HEADER_EDITS = {
     "progress-not-object": lambda h: h.update(progress=[1, 2]),
     "progress-missing-step": lambda h: h.update(progress={"epochs_completed": 1}),
