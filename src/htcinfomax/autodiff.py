@@ -571,16 +571,22 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out, (x, kernel) + with_bias, back, "conv1d")
 
 
-def _stacked_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> np.ndarray:
-    """Every kernel [k, C_in, C_out] laid out as [C_in, k*C_out], tap by tap,
-    side by side: [C_in, sum of k*C_out]."""
+def _check_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> int:
+    """Check the table and kernel shapes; returns the width of the stacked
+    taps, sum of k*C_out."""
     if embedding.ndim != 2:
         raise DimensionError(f"token_conv expects a 2-D embedding table, got {embedding.shape}")
     c_in = embedding.shape[1]
     if not kernels or any(k.ndim != 3 or k.shape[1] != c_in for k in kernels):
         raise DimensionError(f"token_conv kernels {[k.shape for k in kernels]} must be a non-empty "
                              f"list of [k, {c_in}, C_out]")
-    return np.concatenate([k.data.transpose(1, 0, 2).reshape(c_in, k.shape[0] * k.shape[2])
+    return sum(k.shape[0] * k.shape[2] for k in kernels)
+
+
+def _stacked_taps(kernels: Sequence[Tensor]) -> np.ndarray:
+    """Every (checked) kernel [k, C_in, C_out] laid out as [C_in, k*C_out],
+    tap by tap, side by side: [C_in, sum of k*C_out]."""
+    return np.concatenate([k.data.transpose(1, 0, 2).reshape(k.shape[1], k.shape[0] * k.shape[2])
                            for k in kernels], axis=1)
 
 
@@ -598,7 +604,8 @@ def token_responses(embedding: Tensor, kernels: Sequence[Tensor]) -> np.ndarray:
     A constant of the current parameters: inference computes it once for
     many batches, and it is stale after they change.
     """
-    return _response_table(embedding.data, _stacked_taps(embedding, kernels))
+    _check_taps(embedding, kernels)
+    return _response_table(embedding.data, _stacked_taps(kernels))
 
 
 def _occurrence_rounds(pos: np.ndarray, n: int) -> list[np.ndarray]:
@@ -638,22 +645,24 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     batch, seq_len = ids.shape
     if seq_len < 1:
         raise DomainError("token_conv over an empty sequence")
-    w = _stacked_taps(embedding, kernels)
+    width = _check_taps(embedding, kernels)
     if len(biases) != len(kernels) or any(b.shape != k.shape[2:] for k, b in zip(kernels, biases)):
         raise DimensionError(f"token_conv: biases {[b.shape for b in biases]} do not match "
                              f"kernels {[k.shape for k in kernels]}")
     vocab = embedding.shape[0]
     _check_ids(ids, vocab)
+    w = None        # the stacked taps, built only when a table or a backward needs them
     if responses is None:
         rows, inverse = np.unique(ids[valid], return_inverse=True)
         x = embedding.data[rows]
+        w = _stacked_taps(kernels)
         table = _response_table(x, w)
         pos = np.full(ids.shape, rows.size)
         pos[valid] = inverse
     else:
-        if responses.shape != (vocab + 1, w.shape[1]):
+        if responses.shape != (vocab + 1, width):
             raise DimensionError(f"token_conv: responses {responses.shape} do not cover "
-                                 f"{vocab} rows of {w.shape[1]} columns")
+                                 f"{vocab} rows of {width} columns")
         rows, x, table, pos = slice(None), embedding.data, responses, np.where(valid, ids, vocab)
     y = table[pos]
     branches = []       # (kernel, bias, its columns of y, its output channels, tap spans)
@@ -669,7 +678,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         out[:, :, chans] += bias.data
 
     def back(g, embedding=embedding, rows=rows, x=x, w=w, pos=pos, branches=branches):
-        gy = np.empty((batch, seq_len, w.shape[1]))
+        gy = np.empty((batch, seq_len, width))
         for kernel, bias, cols, chans, spans in branches:
             _unshift_taps(gy[:, :, cols], g[:, :, chans], spans, kernel.shape[2])
             _accum(bias, g[:, :, chans].sum(axis=(0, 1)))
@@ -678,7 +687,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         gy, flat = gy.reshape(batch * seq_len, -1), pos.reshape(-1)
         rounds = _occurrence_rounds(flat, x.shape[0])
         covered = bool(rounds) and rounds[0].size == x.shape[0]
-        dr = (np.empty if covered else np.zeros)((x.shape[0], w.shape[1]))
+        dr = (np.empty if covered else np.zeros)((x.shape[0], width))
         for j, sel in enumerate(rounds):
             if j:
                 dr[flat[sel]] += gy[sel]
@@ -690,7 +699,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
                 k, c_in, c_out = kernel.shape
                 _accum(kernel, dw[:, cols].reshape(c_in, k, c_out).transpose(1, 0, 2))
         if embedding.requires_grad:
-            _row_grad(embedding)[rows] += dr @ w.T
+            _row_grad(embedding)[rows] += dr @ (_stacked_taps(kernels) if w is None else w).T
 
     return _make(out, (embedding, *kernels, *biases), back, "token_conv")
 

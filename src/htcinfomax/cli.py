@@ -23,11 +23,13 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .dataio import (
+    _INTEGER,
     DEFAULT_SEED,
     ConfigError,
     DataError,
     Document,
     GeneratorConfig,
+    _check_kinds,
     build_vocab_from_file,
     file_sha256,
     generate_synthetic,
@@ -121,6 +123,10 @@ def _table(rows: list[tuple[str, object]], title: str):
 
 def cmd_gendata(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
+    # the seed is --seed, else the file's seed, else the default
+    file_seed = _check_kinds({"seed": file_cfg.pop("seed", DEFAULT_SEED)}, {"seed": _INTEGER},
+                             GeneratorConfig.SECTION, ConfigError)["seed"]
+    seed = args.seed if args.seed is not None else file_seed
     config = GeneratorConfig.from_dict(
         _resolve(file_cfg, {f.name: getattr(args, f.name) for f in fields(GeneratorConfig)}))
 
@@ -129,9 +135,9 @@ def cmd_gendata(args) -> int:
     outputs["taxonomy"] = out_dir / "taxonomy.txt"
     outputs["manifest"] = out_dir / "manifest.json"
     inputs = {"config_file": args.config} if args.config else {}
-    _write_manifest(out_dir, "gendata", {**config.to_dict(), "seed": args.seed}, inputs, outputs)
+    _write_manifest(out_dir, "gendata", {**config.to_dict(), "seed": seed}, inputs, outputs)
 
-    manifest = generate_synthetic(config, args.seed, out_dir)
+    manifest = generate_synthetic(config, seed, out_dir)
     tax = load_taxonomy(out_dir / "taxonomy.txt")
     tax_stats = stats(tax)
     _table([
@@ -144,7 +150,7 @@ def cmd_gendata(args) -> int:
     ], f"synthetic corpus at {out_dir}")
     print(json.dumps({
         "out_dir": str(out_dir),
-        "seed": args.seed,
+        "seed": seed,
         "label_count": tax_stats["label_count"],
         "depth": tax_stats["depth"],
         "avg_labels_per_doc": manifest["avg_labels_per_doc"],
@@ -314,14 +320,13 @@ def cmd_predict(args) -> int:
     docs = [Document(tokens=model.vocab.encode(tokens), labels=frozenset())
             for _, tokens, _ in read_raw_corpus(data_path)]
     batches = make_batches(docs, model.config.batch_size, model.config.max_len, model.tax)
-    for batch, preds in iter_predictions(batches, model):
-        for i in range(batch.size):
-            record = {
-                "labels": [names[j] for j in range(model.num_labels)
-                           if preds.decisions[i, j] >= 1.0],
-                "probs": {names[j]: float(preds.probs[i, j]) for j in range(model.num_labels)},
-            }
-            print(json.dumps(record, sort_keys=True))
+    # the bytes of json.dumps(record, sort_keys=True) per record, one write per batch
+    encode = json.JSONEncoder(sort_keys=True).encode
+    for _, preds in iter_predictions(batches, model):
+        sys.stdout.write("".join(
+            encode({"labels": [name for name, d in zip(names, decisions) if d >= 1.0],
+                    "probs": dict(zip(names, probs))}) + "\n"
+            for probs, decisions in zip(preds.probs.tolist(), preds.decisions.tolist())))
     log.info("predicted %d documents", len(docs))
     return 0
 
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gendata", help="write a synthetic corpus and taxonomy")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--config", help="JSON file of generator settings")
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    gen.add_argument("--seed", type=int)
     for f in fields(GeneratorConfig):     # --doc-len sets doc_len; float fields take floats
         gen.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
                          type=float if f.type == "float" else int)

@@ -20,12 +20,19 @@ from .autodiff import Tensor
 from .dataio import Batch
 
 
-def glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
+# With rng None the two initialisers below draw nothing and leave the values
+# unset, for a caller that overwrites every one (a model rebuilt from a checkpoint).
+def glorot(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int,
+           fan_out: int) -> Tensor:
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-def embedding_table(rng: np.random.Generator, rows: int, dim: int) -> Tensor:
+def embedding_table(rng: np.random.Generator | None, rows: int, dim: int) -> Tensor:
+    if rng is None:
+        return Tensor(np.empty((rows, dim)), requires_grad=True)
     return Tensor(rng.uniform(-0.1, 0.1, size=(rows, dim)), requires_grad=True)
 
 

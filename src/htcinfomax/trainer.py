@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -166,8 +167,10 @@ class ParamRegistry:
         for p in self._params.values():
             p.grad = None
 
-    def layout(self):
-        """Lay the parameters out into the arena; later calls do nothing."""
+    def layout(self, fill: bool = True):
+        """Lay the parameters out into the arena; later calls do nothing.
+        `fill` false leaves the blocks zero, for a caller that overwrites
+        every value."""
         if self.data is not None:
             return
         offset = 0
@@ -179,7 +182,8 @@ class ParamRegistry:
         self.data, self.grad = _arena_zeros(offset), _arena_zeros(offset)
         for p, data, grad in zip(self._params.values(), self.views(self.data),
                                  self.views(self.grad)):
-            data[...] = p.data
+            if fill:
+                data[...] = p.data
             p.data, p.grad_view = data, grad
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -209,7 +213,10 @@ class Model:
     registry holds exactly the parameters the objective trains.
     """
 
-    def __init__(self, tax: Taxonomy, vocab: Vocabulary, config: TrainConfig):
+    def __init__(self, tax: Taxonomy, vocab: Vocabulary, config: TrainConfig, init: bool = True):
+        """`init` false draws no initial values: the randomly initialised
+        parameters are left unset, for a caller that overwrites every value
+        (`load_model`)."""
         config.validate()
         dims = config.dims
         self.tax = tax
@@ -217,22 +224,23 @@ class Model:
         self.config = config
         self.num_labels = tax.num_labels
 
-        seed = config.seed
+        def rng(part: str) -> np.random.Generator | None:
+            return derived_rng(config.seed, "init", part) if init else None
+
         self.text_encoder = TextEncoder(len(vocab), dims.embed_dim, dims.feature_dim,
-                                        dims.text_kernels, derived_rng(seed, "init", "text"))
+                                        dims.text_kernels, rng("text"))
         self.structure_encoder = StructureEncoder(normalized_adjacency(tax), tax.nonroot_ids(),
-                                                  dims.label_dim, derived_rng(seed, "init", "structure"))
-        self.head = PredictorHead(self.num_labels, dims.feature_dim,
-                                  derived_rng(seed, "init", "head"), threshold=config.threshold)
+                                                  dims.label_dim, rng("structure"))
+        self.head = PredictorHead(self.num_labels, dims.feature_dim, rng("head"),
+                                  threshold=config.threshold)
         self.mi_disc = None
         self.prior_disc = None
         self.gate = None
         if not config.disable_mi:
             self.mi_disc = MIDiscriminator(dims.feature_dim, dims.label_dim, dims.mi_hidden,
-                                           derived_rng(seed, "init", "mi"), kernel_size=dims.mi_kernel)
+                                           rng("mi"), kernel_size=dims.mi_kernel)
         if not config.disable_label_prior:
-            self.prior_disc = PriorDiscriminator(dims.label_dim, dims.prior_hidden,
-                                                 derived_rng(seed, "init", "prior"))
+            self.prior_disc = PriorDiscriminator(dims.label_dim, dims.prior_hidden, rng("prior"))
         if self.mi_disc is not None and self.prior_disc is not None:
             self.gate = LossWeightEstimator(dims.feature_dim, dims.label_dim)
 
@@ -246,7 +254,7 @@ class Model:
             self.registry.register("prior", self.prior_disc.named_params())
         if self.gate is not None:
             self.registry.register("gate", self.gate.named_params())
-        self.registry.layout()
+        self.registry.layout(fill=init)
 
     def forward(self, batch: Batch, lr: LabelRepresentations | None = None,
                 responses: np.ndarray | None = None
@@ -584,23 +592,34 @@ def save_checkpoint(path, model: Model, optimizer: Adam | None = None,
                 fh.write(np.ascontiguousarray(optimizer.state[name]["v"], dtype="<f8"))
 
 
-def read_checkpoint(path) -> dict:
+def read_checkpoint(path, moments: bool = True) -> dict:
     """Read and validate a checkpoint: the one parser of the format.
 
-    Returns {header, params, adam_m, adam_v}.  The arrays are read-only
-    views into one buffer over the file, so a caller copies what it keeps.
+    Returns {header, params, adam_m, adam_v}.  The file is opened once and
+    streamed: each block is read into its own exactly sized read-only array.
+    With `moments` false the Adam moments' blocks are skipped, unread, and
+    `adam_m`/`adam_v` are empty.
     """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _read_blocks(fh, path, moments)
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
-    if blob[:8] != CHECKPOINT_MAGIC:
+
+
+def _read_blocks(fh, path, moments: bool) -> dict:
+    size = os.fstat(fh.fileno()).st_size
+    start = fh.read(16)
+    if start[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic or version)")
-    body_start = 16 + int.from_bytes(blob[8:16], "little")
-    if len(blob) < body_start:
+    body_start = 16 + int.from_bytes(start[8:16], "little")
+    if size < body_start:
+        raise CheckpointError(f"{path} is truncated inside the header")
+    header_bytes = fh.read(body_start - 16)
+    if len(header_bytes) != body_start - 16:
         raise CheckpointError(f"{path} is truncated inside the header")
     try:
-        header = json.loads(blob[16:body_start].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
         if header.get("version") != 1:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
         layout = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
@@ -621,19 +640,24 @@ def read_checkpoint(path) -> dict:
         raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
     blocks = 1 if adam is None else 3
     counts = [math.prod(shape) for _, shape in layout]
-    expected, actual = 8 * blocks * sum(counts), len(blob) - body_start
+    expected, actual = 8 * blocks * sum(counts), size - body_start
     if actual < expected:
         raise CheckpointError(f"{path} is truncated or has a corrupt header: the header "
                               f"describes {expected} body bytes, the file holds {actual}")
     if actual > expected:
         raise CheckpointError(f"{path} has {actual - expected} trailing bytes after its last block")
-    body = np.frombuffer(blob, dtype="<f8", offset=body_start)
     stores: tuple[dict[str, np.ndarray], ...] = ({}, {}, {})
-    offset = 0
+    kept = blocks if moments else 1       # blocks read per parameter; the others are skipped
     for (name, shape), count in zip(layout, counts):
-        for store in stores[:blocks]:
-            store[name] = body[offset:offset + count].reshape(shape)
-            offset += count
+        for store in stores[:kept]:
+            values = np.empty(count, dtype="<f8")
+            if fh.readinto(values) != values.nbytes:
+                raise CheckpointError(f"{path} is truncated: the body ended inside "
+                                      f"parameter {name!r}")
+            values.flags.writeable = False
+            store[name] = values.reshape(shape)
+        if kept < blocks:
+            fh.seek(8 * count * (blocks - kept), os.SEEK_CUR)
     return {"header": header, "params": stores[0], "adam_m": stores[1], "adam_v": stores[2]}
 
 
@@ -670,8 +694,10 @@ def restore_checkpoint(path, model: Model, optimizer: Adam | None = None) -> tup
 
 
 def load_model(path) -> Model:
-    """Rebuild a model purely from a checkpoint (config, vocab, taxonomy), read once."""
-    data = read_checkpoint(path)
+    """Rebuild a model purely from a checkpoint (config, vocab, taxonomy), read
+    once and without its Adam moments.  The model draws no initial values:
+    the body sets every one."""
+    data = read_checkpoint(path, moments=False)
     header = data["header"]
     try:
         config = TrainConfig.from_dict(header["config"])
@@ -688,6 +714,6 @@ def load_model(path) -> Model:
             raise CheckpointError(f"{path} has a malformed header: its config implies parameter "
                                   f"{name!r} of shape {expected.get(name)}, its body holds "
                                   f"{stored.get(name)}")
-    model = Model(tax, vocab, config)
+    model = Model(tax, vocab, config, init=False)
     _apply_checkpoint(data, model, None)
     return model

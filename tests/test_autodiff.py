@@ -396,6 +396,23 @@ def test_token_conv_writes_the_embedding_gradient_into_its_arena_block():
     assert_close(block, fresh.grad)
 
 
+def test_token_conv_stacks_the_taps_from_a_response_table_only_for_backward(monkeypatch):
+    table, kernels, biases, ids, mask = token_conv_inputs("widths-1-to-4")
+    responses = ad.token_responses(table, kernels)
+    stacked = []
+    original = ad._stacked_taps
+    monkeypatch.setattr(ad, "_stacked_taps", lambda ks: stacked.append(ks) or original(ks))
+    with ad.no_grad():
+        ad.token_conv(table, kernels, biases, ids, mask, responses)
+    out = ad.token_conv(table, kernels, biases, ids, mask, responses)
+    assert stacked == []
+    with pytest.raises(ad.DimensionError, match="kernels"):
+        ad.token_conv(table, [rand(np.random.default_rng(0), 2, 4, 2)], biases[:1], ids, mask,
+                      responses)
+    ad.backward(ad.sum_(out))
+    assert len(stacked) == 1
+
+
 def test_token_conv_rounds_add_each_position_once():
     pos = np.array([4, 1, 4, 9, 4, 1, 0, 9])      # 9 marks a masked position
     rounds = ad._occurrence_rounds(pos, 9)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, manifests, schemas."""
 
+import io
 import json
 import struct
 from dataclasses import fields
@@ -9,8 +10,9 @@ import pytest
 
 from htcinfomax import autodiff as ad
 from htcinfomax import cli, trainer
-from htcinfomax.dataio import GeneratorConfig, load_corpus, make_batches
-from htcinfomax.trainer import load_model, read_checkpoint
+from htcinfomax.dataio import (Document, GeneratorConfig, load_corpus, make_batches,
+                               read_raw_corpus)
+from htcinfomax.trainer import iter_predictions, load_model, read_checkpoint
 
 TINY_TRAIN_CONFIG = {
     "epochs": 2,
@@ -141,6 +143,33 @@ def test_gendata_config_file_value_of_wrong_kind_names_the_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 2
     assert f"gendata.{f.name} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("file_seed,flags,seed", [(None, [], 7), (5, [], 5), (5, ["--seed", "11"], 11),
+                                                  (None, ["--seed", "11"], 11)])
+def test_gendata_seed_is_flag_then_file_then_default(tmp_path, capsys, file_seed, flags, seed):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({**SMALL_CORPUS, **({} if file_seed is None else {"seed": file_seed})}),
+                   encoding="utf-8")
+    assert _gendata_config(tmp_path, capsys, ["--config", str(cfg), *flags])["seed"] == seed
+    files = json.loads(capsys.readouterr().out)["files"]
+    rc = cli.main(["gendata", "--out", str(tmp_path / "again"), "--config", str(cfg), *flags])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["files"] == files   # hashes of the seeded corpus
+    again = ["gendata", "--out", str(tmp_path / "flag"), "--seed", str(seed)]
+    assert cli.main(again + ["--config", str(tmp_path / "gen.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["files"] == files
+
+
+@pytest.mark.parametrize("seed", ["x", 2.5, True, None])
+def test_gendata_config_file_seed_of_wrong_kind_names_the_key(tmp_path, capsys, seed):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({**SMALL_CORPUS, "seed": seed}), encoding="utf-8")
+    rc = cli.main(["gendata", "--out", str(tmp_path / "d"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "gendata.seed must be an integer" in err and "Traceback" not in err
     assert not (tmp_path / "d").exists()
 
 
@@ -454,6 +483,28 @@ def test_hostile_checkpoint_is_runtime_error(workspace, tmp_path, capsys, comman
     assert err.splitlines()[-1].startswith(f"error: {bad}")
 
 
+class ShortReads(io.BufferedReader):
+    """Returns half of each block read, as if the file shrank after its
+    size was taken."""
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        return super().readinto(view[:len(view) // 2])
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_body_short_after_the_size_check_is_runtime_error(
+        workspace, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(trainer, "open", lambda path, mode: ShortReads(io.FileIO(path, mode)),
+                        raising=False)
+    rc = cli.main([command, "--checkpoint", str(workspace["checkpoint"]),
+                   "--data", str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "is truncated: the body ended inside parameter" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 # -- predict ----------------------------------------------------------------------
 
 
@@ -533,6 +584,54 @@ def test_predict_emits_the_decisions_evaluate_scores(workspace, tmp_path, capsys
     for row, record in enumerate(emitted):
         assert record["labels"] == [n for j, n in enumerate(names) if decisions[row, j] == 1.0]
         assert [record["probs"][n] for n in names] == probs[row].tolist()
+
+
+def reference_predict_output(checkpoint, path, threshold=None) -> str:
+    """predict's stdout as one json.dumps(record, sort_keys=True) line per document."""
+    model = load_model(checkpoint)
+    if threshold is not None:
+        model.head.threshold = threshold
+    names = model.tax.target_names()
+    docs = [Document(tokens=model.vocab.encode(tokens), labels=frozenset())
+            for _, tokens, _ in read_raw_corpus(path)]
+    lines = []
+    batches = make_batches(docs, model.config.batch_size, model.config.max_len, model.tax)
+    for batch, preds in iter_predictions(batches, model):
+        for i in range(batch.size):
+            record = {
+                "labels": [names[j] for j in range(model.num_labels) if preds.decisions[i, j] >= 1.0],
+                "probs": {names[j]: float(preds.probs[i, j]) for j in range(model.num_labels)},
+            }
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("with_threshold", [False, True])
+def test_predict_stdout_bytes_are_pinned(workspace, tmp_path, capsys, with_threshold):
+    # ragged documents over several batches: one token long, longer than
+    # max_len (16), with unknown tokens, with and without labels
+    records = [json.loads(line) for line in
+               (workspace["data"] / "test.jsonl").read_text(encoding="utf-8").splitlines()]
+    ragged = [{"token": (rec["token"] * 4)[:1 + 3 * i]} for i, rec in enumerate(records[:9])]
+    ragged += [{"token": ["n0#w0", "unseen"], "label": ["n0"]}, {"token": ["n1#w1"]}]
+    path = tmp_path / "ragged.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in ragged), encoding="utf-8")
+    argv = ["predict", "--checkpoint", str(workspace["checkpoint"]), "--data", str(path),
+            "--out", str(tmp_path)]
+    threshold = None
+    if with_threshold:
+        # the median probability: some labels pass it, some do not
+        emitted = [json.loads(line) for line in
+                   reference_predict_output(workspace["checkpoint"], path).splitlines()]
+        threshold = float(np.median([p for r in emitted for p in r["probs"].values()]))
+        argv.append(f"--threshold={threshold!r}")
+    expected = reference_predict_output(workspace["checkpoint"], path, threshold)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert expected.count("\n") == len(ragged)
+    if with_threshold:
+        chosen = [len(json.loads(line)["labels"]) for line in expected.splitlines()]
+        assert 0 < sum(chosen) < len(chosen) * len(emitted[0]["probs"])
 
 
 def test_predict_accepts_unlabeled_documents(workspace, tmp_path, capsys):

@@ -1,10 +1,10 @@
 """Optimizer, registry, train step, evaluation, and checkpointing."""
 
 import hashlib
+import io
 import json
 import struct
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -653,6 +653,37 @@ def test_checkpoint_format_is_pinned(tmp_path):
         "833015610b0f3ed19dee06dadf397f60a11a0868a0e95ced679b5a05d259c445"
 
 
+class CheckpointFile(io.BufferedReader):
+    """A checkpoint file as `read_checkpoint` opens it, recording each open
+    in `opens` and the bytes its reads return in `bytes_read`.  `short`
+    returns half of each block read, as if the file shrank after its size
+    was taken."""
+
+    def __init__(self, path, mode, opens: list, short: bool = False):
+        super().__init__(io.FileIO(path, mode))
+        opens.append(self)
+        self.bytes_read = 0
+        self.short = short
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        count = super().readinto(view[:len(view) // 2] if self.short else view)
+        self.bytes_read += count
+        return count
+
+
+def watch_checkpoint_opens(monkeypatch, short=False) -> list:
+    opens = []
+    monkeypatch.setattr(trainer, "open", lambda path, mode: CheckpointFile(path, mode, opens, short),
+                        raising=False)
+    return opens
+
+
 def test_checkpoint_is_read_once_into_read_only_views(tmp_path, monkeypatch):
     model = Model(TAX, VOCAB, tiny_config())
     opt = Adam(model.registry, 1e-2)
@@ -663,13 +694,46 @@ def test_checkpoint_is_read_once_into_read_only_views(tmp_path, monkeypatch):
         for store, live in ((data["params"], p.data), (data["adam_m"], opt.state[name]["m"]),
                             (data["adam_v"], opt.state[name]["v"])):
             assert np.array_equal(store[name], live) and not store[name].flags.writeable
-    reads = []
-    original = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or original(self))
+    (header_length,) = struct.unpack("<Q", path.read_bytes()[8:16])
+    param_bytes = sum(8 * p.data.size for _, p in model.registry.items())
+    opens = watch_checkpoint_opens(monkeypatch)
     load_model(path)
-    assert reads == [path]
+    # one open, and only the header and the parameter blocks are read: the moments are skipped
+    assert [f.bytes_read for f in opens] == [16 + header_length + param_bytes]
     restore_checkpoint(path, model, Adam(model.registry, 1e-2))
-    assert reads == [path, path]
+    assert [f.bytes_read for f in opens[1:]] == [path.stat().st_size]
+
+
+def test_checkpoint_body_short_after_the_size_check_rejected(tmp_path, monkeypatch):
+    model = Model(TAX, VOCAB, tiny_config())
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, Adam(model.registry, 1e-2))
+    watch_checkpoint_opens(monkeypatch, short=True)
+    first = model.registry.names()[0]
+    for read in (read_checkpoint, load_model,
+                 lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
+        with pytest.raises(CheckpointError, match=f"truncated: the body ended inside parameter '{first}'"):
+            read(path)
+
+
+@pytest.mark.parametrize("flags", [{}, {"disable_mi": True}, {"disable_label_prior": True},
+                                   {"disable_mi": True, "disable_label_prior": True}])
+def test_load_model_draws_no_initial_values(tmp_path, monkeypatch, flags):
+    model = Model(TAX, VOCAB, tiny_config(**flags))
+    opt = Adam(model.registry, 1e-2)
+    (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
+    train_step(batch, model, opt, global_step=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, opt)
+    streams = []
+    original = trainer.derived_rng
+    monkeypatch.setattr(trainer, "derived_rng", lambda *keys: streams.append(keys) or original(*keys))
+    again = load_model(path)
+    assert streams == []
+    assert again.registry.names() == model.registry.names()
+    for name, p in model.registry.items():
+        assert again.registry[name].data.tobytes() == p.data.tobytes(), name
+    assert np.shares_memory(again.registry[model.registry.names()[0]].data, again.registry.data)
 
 
 def _rewrite_header(path, edit):
