@@ -3,8 +3,7 @@
 Tensors hold double-precision data plus an optional gradient buffer.  Every
 primitive records its inputs and a backward closure as it executes, so a
 single `backward()` call on a scalar loss replays the chain rule once over
-the dynamically recorded graph.  `finite_difference_check` verifies any
-composed scalar function against central differences.
+the dynamically recorded graph.
 
 Broadcasting is deliberately restricted: elementwise ops require identical
 shapes, except scalar-times-tensor; a trailing-axis bias vector is an
@@ -21,8 +20,7 @@ only into an arena block (elsewhere `grad = grad + g`).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,9 +89,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
@@ -439,18 +434,6 @@ def _check_axis(a: Tensor, axis):
         raise DimensionError(f"axis {axis} invalid for shape {a.shape}")
 
 
-def sum_(a: Tensor, axis: int | None = None) -> Tensor:
-    _check_axis(a, axis)
-
-    def back(g, a=a, axis=axis):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
-
-    return _make(a.data.sum(axis=axis), (a,), back, "sum")
-
-
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis)
     n = a.data.size if axis is None else a.shape[axis]
@@ -636,7 +619,9 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     ids and mask are [B, S]; the output is [B, S, sum of C_out].  Without
     `responses` the rows are the distinct ids at unmasked positions.
     `responses` (`token_responses`) covers every embedding row, so the
-    responses a batch reads do not depend on the other tokens of its batch.
+    responses a batch reads do not depend on the other tokens of its batch;
+    it is a constant, so the output then records no graph, whatever the
+    grad mode.
     """
     ids = np.asarray(ids, dtype=np.int64)
     valid = np.asarray(mask) != 0
@@ -651,7 +636,6 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
                              f"kernels {[k.shape for k in kernels]}")
     vocab = embedding.shape[0]
     _check_ids(ids, vocab)
-    w = None        # the stacked taps, built only when a table or a backward needs them
     if responses is None:
         rows, inverse = np.unique(ids[valid], return_inverse=True)
         x = embedding.data[rows]
@@ -659,11 +643,12 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         table = _response_table(x, w)
         pos = np.full(ids.shape, rows.size)
         pos[valid] = inverse
+        parents = (embedding, *kernels, *biases)
     else:
         if responses.shape != (vocab + 1, width):
             raise DimensionError(f"token_conv: responses {responses.shape} do not cover "
                                  f"{vocab} rows of {width} columns")
-        rows, x, table, pos = slice(None), embedding.data, responses, np.where(valid, ids, vocab)
+        table, pos, parents = responses, np.where(valid, ids, vocab), ()
     y = table[pos]
     branches = []       # (kernel, bias, its columns of y, its output channels, tap spans)
     col = chan = 0
@@ -677,18 +662,16 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         _shift_taps(out[:, :, chans], y[:, :, cols], spans, kernel.shape[2])
         out[:, :, chans] += bias.data
 
-    def back(g, embedding=embedding, rows=rows, x=x, w=w, pos=pos, branches=branches):
+    def back(g):        # recorded only without `responses`, where rows, x and w are bound
         gy = np.empty((batch, seq_len, width))
         for kernel, bias, cols, chans, spans in branches:
             _unshift_taps(gy[:, :, cols], g[:, :, chans], spans, kernel.shape[2])
             _accum(bias, g[:, :, chans].sum(axis=(0, 1)))
         # sum per distinct token, in rounds that each write distinct rows; the
-        # first round covers every row when the rows are the batch's own
+        # first round holds every row's first occurrence, so it writes them all
         gy, flat = gy.reshape(batch * seq_len, -1), pos.reshape(-1)
-        rounds = _occurrence_rounds(flat, x.shape[0])
-        covered = bool(rounds) and rounds[0].size == x.shape[0]
-        dr = (np.empty if covered else np.zeros)((x.shape[0], width))
-        for j, sel in enumerate(rounds):
+        dr = np.empty((rows.size, width))
+        for j, sel in enumerate(_occurrence_rounds(flat, rows.size)):
             if j:
                 dr[flat[sel]] += gy[sel]
             else:
@@ -699,9 +682,9 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
                 k, c_in, c_out = kernel.shape
                 _accum(kernel, dw[:, cols].reshape(c_in, k, c_out).transpose(1, 0, 2))
         if embedding.requires_grad:
-            _row_grad(embedding)[rows] += dr @ (_stacked_taps(kernels) if w is None else w).T
+            _row_grad(embedding)[rows] += dr @ w.T
 
-    return _make(out, (embedding, *kernels, *biases), back, "token_conv")
+    return _make(out, parents, back, "token_conv")
 
 
 # -- adversarial routing --------------------------------------------------------
@@ -720,85 +703,3 @@ def grad_reverse(a: Tensor) -> Tensor:
 
     return _make(a.data, (a,), back, "grad_reverse")
 
-
-# -- verification harness ---------------------------------------------------------
-
-
-@dataclass
-class FiniteDifferenceReport:
-    """Per-parameter comparison of analytic vs central-difference gradients."""
-
-    max_rel_error: dict[str, float] = field(default_factory=dict)
-    tol: float = 1e-4
-    h: float = 1e-5
-
-    @property
-    def passed(self) -> bool:
-        return all(e <= self.tol for e in self.max_rel_error.values())
-
-    @property
-    def worst(self) -> float:
-        return max(self.max_rel_error.values(), default=0.0)
-
-    def summary(self) -> str:
-        lines = [
-            f"  {name}: max rel err {err:.3e} {'ok' if err <= self.tol else 'FAIL'}"
-            for name, err in self.max_rel_error.items()
-        ]
-        verdict = "PASS" if self.passed else "FAIL"
-        return f"finite-difference check ({verdict}, tol={self.tol:g}, h={self.h:g})\n" + "\n".join(lines)
-
-
-def finite_difference_check(
-    f: Callable[[], Tensor],
-    params: dict[str, Tensor] | Iterable[tuple[str, Tensor]],
-    h: float = 1e-5,
-    tol: float = 1e-4,
-    floor: float = 1e-4,
-) -> FiniteDifferenceReport:
-    """Compare analytic gradients of the scalar `f()` against central differences.
-
-    `f` must be deterministic (verified by evaluating it twice) and must
-    rebuild its graph from the live `params` tensors on every call.  The
-    relative error denominator is floored at `floor` so that near-zero
-    gradients are judged by a matching absolute scale.
-    """
-    if isinstance(params, dict):
-        items = list(params.items())
-    else:
-        items = list(params)
-    if h <= 0:
-        raise ContractError("finite_difference_check requires h > 0")
-
-    with no_grad():
-        first = f().item()
-        second = f().item()
-    if first != second:
-        raise ContractError("f is not deterministic: two forward passes disagree")
-
-    for _, p in items:
-        p.zero_grad()
-    loss = f()
-    backward(loss)
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for name, p in items}
-
-    report = FiniteDifferenceReport(tol=tol, h=h)
-    for name, p in items:
-        flat = p.data.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            with no_grad():
-                flat[i] = orig + h
-                up = f().item()
-                flat[i] = orig - h
-                down = f().item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = analytic[name].reshape(-1)[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-            worst = max(worst, rel)
-        report.max_rel_error[name] = worst
-    for _, p in items:
-        p.zero_grad()
-    return report

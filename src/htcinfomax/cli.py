@@ -125,7 +125,7 @@ def cmd_gendata(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     # the seed is --seed, else the file's seed, else the default
     file_seed = _check_kinds({"seed": file_cfg.pop("seed", DEFAULT_SEED)}, {"seed": _INTEGER},
-                             GeneratorConfig.SECTION, ConfigError)["seed"]
+                             GeneratorConfig.SECTION)["seed"]
     seed = args.seed if args.seed is not None else file_seed
     config = GeneratorConfig.from_dict(
         _resolve(file_cfg, {f.name: getattr(args, f.name) for f in fields(GeneratorConfig)}))

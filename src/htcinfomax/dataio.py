@@ -32,7 +32,7 @@ class DataError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid generator configuration."""
+    """An invalid settings value, or an unknown settings key."""
 
 
 def _is_int(value) -> bool:
@@ -61,24 +61,24 @@ _REAL = (_is_real, "a finite number")
 DEFAULT_SEED = 7      # gendata's --seed and TrainConfig.seed
 
 
-def _check_kinds(values, kinds: dict, section: str, error: type[Exception]) -> dict:
+def _check_kinds(values, kinds: dict, section: str) -> dict:
     """`values` ready for a settings dataclass: lists become tuples, and a
-    nested section is read by its own class.  Raises `error`, naming
+    nested section is read by its own class.  Raises ConfigError, naming
     `section.key`, on a non-object, on a key missing from `kinds` or on the
     first value its kind rejects.  A kind is a (predicate, description) pair
     or a nested `Settings` class."""
     if not isinstance(values, dict):
-        raise error(f"{section} must be a JSON object, got {values!r}")
+        raise ConfigError(f"{section} must be a JSON object, got {values!r}")
     unknown = set(values) - set(kinds)
     if unknown:
-        raise error(f"unknown {section} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     out = {}
     for name, value in values.items():
         kind = kinds[name]
         if isinstance(kind, type):
             value = kind.from_dict(value)
         elif not kind[0](value):
-            raise error(f"{section}.{name} must be {kind[1]}, got {value!r}")
+            raise ConfigError(f"{section}.{name} must be {kind[1]}, got {value!r}")
         out[name] = tuple(value) if isinstance(value, list) else value
     return out
 
@@ -89,12 +89,10 @@ class Settings:
     keys it takes and of which kind.  JSON writes tuples as arrays, so
     `from_dict(json.loads(json.dumps(s.to_dict())))` equals `s`."""
 
-    ERROR = ValueError
-
     @classmethod
     def from_dict(cls, values):
         """An instance from a JSON object; missing keys keep their defaults."""
-        return cls(**_check_kinds(values, cls.KINDS, cls.SECTION, cls.ERROR))
+        return cls(**_check_kinds(values, cls.KINDS, cls.SECTION))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -308,7 +306,6 @@ class GeneratorConfig(Settings):
     test_docs_per_label: int | None = None
 
     SECTION = "gendata"
-    ERROR = ConfigError
     KINDS = {
         **dict.fromkeys(("depth", "vocab_per_label", "docs_per_label", "doc_len"), _POSITIVE),
         "branching": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
@@ -319,7 +316,7 @@ class GeneratorConfig(Settings):
     }
 
     def validate(self):
-        _check_kinds(vars(self), self.KINDS, self.SECTION, self.ERROR)
+        _check_kinds(vars(self), self.KINDS, self.SECTION)
 
     def resolved_val_docs(self) -> int:
         return self.val_docs_per_label if self.val_docs_per_label is not None else max(1, self.docs_per_label // 5)

@@ -127,22 +127,18 @@ def _shifted_mean_weights(mask: np.ndarray, k: int) -> np.ndarray:
     """[B, k, S] weights whose row (b, t) averages tap t of a same-length
     width-k conv over the unmasked positions of sequence b.
 
-    Tap t reads position s + t - left for output s (left = (k-1)//2, zero
-    padding outside the sequence), so its weight on position j is the
-    masked-mean weight of s = j - t + left.
+    Output rows lo..hi-1 of tap t read source rows lo+d..hi+d-1
+    (`ad._tap_spans`), so the tap's weight on source row j is the
+    masked-mean weight of output row j - d.
     """
     m = np.asarray(mask, dtype=np.float64)
     counts = m.sum(axis=1)
     if np.any(counts == 0):
         raise ad.DomainError("mean pooling over a fully masked sequence")
     weights = m / counts[:, None]
-    seq_len = m.shape[1]
-    left = (k - 1) // 2
-    out = np.zeros((m.shape[0], k, seq_len))
-    for tap in range(k):
-        shift = tap - left
-        lo, hi = max(0, shift), min(seq_len, seq_len + shift)
-        out[:, tap, lo:hi] = weights[:, lo - shift:hi - shift]
+    out = np.zeros((m.shape[0], k, m.shape[1]))
+    for tap, d, lo, hi in ad._tap_spans(k, m.shape[1]):
+        out[:, tap, lo + d:hi + d] = weights[:, lo:hi]
     return out
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import (_INTEGER, _POSITIVE, _REAL, DEFAULT_SEED, Batch, DataError, Document,
-                     Settings, Vocabulary, _is_count, _is_real, _is_width, derived_rng,
+from .dataio import (_INTEGER, _POSITIVE, _REAL, DEFAULT_SEED, Batch, ConfigError, DataError,
+                     Document, Settings, Vocabulary, _is_count, _is_real, _is_width, derived_rng,
                      make_batches)
 from .encoders import (LabelRepresentations, StructureEncoder, TextEncoder, TextFeatures,
                        multi_label_attention)
@@ -114,9 +114,9 @@ class TrainConfig(Settings):
 
     def validate(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise ConfigError("learning_rate must be > 0")
         if self.batch_size < 2 and not self.disable_mi:
-            raise ValueError("batch_size must be >= 2 unless the MI loss is disabled")
+            raise ConfigError("batch_size must be >= 2 unless the MI loss is disabled")
         self.dims.validate()
 
 
@@ -282,13 +282,9 @@ class Model:
         f_weight = self.gate(tf.pooled, lr) if self.gate is not None else None
         return total_loss(l_c, l_mi, l_pr, f_weight)
 
-    def predict(self, batch: Batch, lr: LabelRepresentations | None = None,
-                responses: np.ndarray | None = None) -> Predictions:
-        """Predictions from the vocabulary's token responses (computed here
-        when None), so they do not depend on the batch's other documents."""
-        if responses is None:
-            responses = self.text_encoder.responses()
-        return self.forward(batch, lr, responses)[2]
+    def predict(self, batch: Batch) -> Predictions:
+        """`iter_predictions` over the one batch."""
+        return next(iter_predictions([batch], self))[1]
 
 
 def param_shapes(config: TrainConfig, vocab_size: int, tax: Taxonomy) -> dict[str, tuple[int, ...]]:
@@ -439,14 +435,16 @@ def train_step(batch: Batch, model: Model, optimizer: Adam, global_step: int) ->
 
 
 def iter_predictions(batches: Iterable[Batch], model: Model) -> Iterator[tuple[Batch, Predictions]]:
-    """(batch, predictions) for each batch, with no graph recorded; the label
-    representations and the vocabulary's token responses are computed once."""
+    """(batch, predictions) for each batch, with no graph recorded.  The label
+    representations and the vocabulary's token responses are computed once:
+    read from one table over every token, a document's predictions do not
+    depend on the other documents of its batch."""
     with ad.no_grad():
         lr = model.structure_encoder()
         responses = model.text_encoder.responses()
     for batch in batches:
         with ad.no_grad():
-            preds = model.predict(batch, lr, responses)
+            preds = model.forward(batch, lr, responses)[2]
         yield batch, preds
 
 
@@ -661,20 +659,22 @@ def _read_blocks(fh, path, moments: bool) -> dict:
     return {"header": header, "params": stores[0], "adam_m": stores[1], "adam_v": stores[2]}
 
 
+def _check_shapes(path, data: dict, expected: dict[str, tuple[int, ...]], source: str):
+    """Raise CheckpointError naming the first parameter whose shape in
+    `expected` (`source` says whose) differs from the body's, None where one
+    side lacks it."""
+    stored = {name: values.shape for name, values in data["params"].items()}
+    for name in {**expected, **stored}:
+        if stored.get(name) != expected.get(name):
+            raise CheckpointError(f"{path} {source} parameter {name!r} of shape "
+                                  f"{expected.get(name)}, its body holds {stored.get(name)}")
+
+
 def _apply_checkpoint(data: dict, model: Model, optimizer: Adam | None) -> tuple[int, int]:
-    """Copy what `read_checkpoint` returned into a live model (and optimizer)."""
-    stored = set(data["params"])
-    live = set(model.registry.names())
-    for name in sorted(stored - live):
-        raise CheckpointError(f"checkpoint parameter {name!r} does not exist in this model")
-    for name in sorted(live - stored):
-        raise CheckpointError(f"model parameter {name!r} missing from checkpoint")
+    """Copy what `read_checkpoint` returned into a live model (and optimizer)
+    whose shapes `_check_shapes` has matched."""
     for name, values in data["params"].items():
-        target = model.registry[name]
-        if values.shape != target.shape:
-            raise CheckpointError(
-                f"shape mismatch for parameter {name!r}: checkpoint {values.shape} vs model {target.shape}")
-        target.data[...] = values
+        model.registry[name].data[...] = values
     header = data["header"]
     if optimizer is not None and header["adam"] is not None:
         for name, state in optimizer.state.items():
@@ -690,7 +690,10 @@ def restore_checkpoint(path, model: Model, optimizer: Adam | None = None) -> tup
     Returns (epochs_completed, global_step).  Name or shape disagreements
     raise CheckpointError identifying the parameter.
     """
-    return _apply_checkpoint(read_checkpoint(path), model, optimizer)
+    data = read_checkpoint(path)
+    _check_shapes(path, data, {name: p.shape for name, p in model.registry.items()},
+                  "does not fit this model, which expects")
+    return _apply_checkpoint(data, model, optimizer)
 
 
 def load_model(path) -> Model:
@@ -708,12 +711,7 @@ def load_model(path) -> Model:
         expected = param_shapes(config, len(vocab), tax)
     except (ValueError, AttributeError, KeyError, TypeError) as err:
         raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
-    stored = {name: values.shape for name, values in data["params"].items()}
-    for name in {**expected, **stored}:
-        if stored.get(name) != expected.get(name):
-            raise CheckpointError(f"{path} has a malformed header: its config implies parameter "
-                                  f"{name!r} of shape {expected.get(name)}, its body holds "
-                                  f"{stored.get(name)}")
+    _check_shapes(path, data, expected, "has a malformed header: its config implies")
     model = Model(tax, vocab, config, init=False)
     _apply_checkpoint(data, model, None)
     return model

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_check
 from htcinfomax import autodiff as ad
 from htcinfomax.autodiff import Tensor
 from htcinfomax.dataio import (
@@ -172,7 +173,7 @@ def test_01_full_loss_gradient_check():
         for k, p in params.items()
     )
 
-    fd = ad.finite_difference_check(decomposed, params, h=1e-5, tol=1e-4)
+    fd = finite_difference_check(decomposed, params, h=1e-5, tol=1e-4)
     elapsed = time.perf_counter() - start
     ok = routing_diff <= 1e-9 and fd.passed and elapsed < 60.0
     report(1, ok, f"full-loss gradient check: routing diff {routing_diff:.1e}, "

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_check
 from htcinfomax import autodiff as ad
 from htcinfomax.autodiff import Tensor
 from htcinfomax.encoders import LabelRepresentations, TextFeatures
@@ -72,6 +73,20 @@ def test_mi_pool_text_matches_conv_then_masked_mean(kernel_size):
         conv = ad.conv1d(h, disc.conv2_kernel, disc.conv2_bias)
         oracle = ad.masked_mean(conv, mask).data
     assert pooled.shape == (4, 7)
+    assert np.abs(pooled - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kernel_size", [7, 8])
+def test_mi_pool_text_kernel_more_than_twice_as_wide_as_the_batch(kernel_size):
+    # some of conv2's taps read only padding for every output position
+    rng = np.random.default_rng(30 + kernel_size)
+    disc = MIDiscriminator(3, 3, 4, rng, kernel_size=kernel_size)
+    mask = ragged_mask([2, 1], 2)
+    feats = Tensor(rng.standard_normal((2, 2, 3)) * mask[:, :, None])
+    with ad.no_grad():
+        pooled = disc.pool_text(feats, mask).data
+        h = ad.apply_mask(ad.relu(ad.conv1d(feats, disc.conv1_kernel, disc.conv1_bias)), mask)
+        oracle = ad.masked_mean(ad.conv1d(h, disc.conv2_kernel, disc.conv2_bias), mask).data
     assert np.abs(pooled - oracle).max() <= 1e-12
 
 
@@ -178,7 +193,7 @@ def test_mi_loss_gradients_pass_finite_differences():
     params = {"feats": tf.token_feats, "labels": lr.matrix}
     params.update({f"mi.{name}": p for name, p in disc.named_params().items()})
 
-    report = ad.finite_difference_check(lambda: mi_loss(tf, lr, targets, disc), params)
+    report = finite_difference_check(lambda: mi_loss(tf, lr, targets, disc), params)
     assert report.passed, report.summary()
     assert {"mi.conv2.kernel", "mi.lin1.weight"} <= set(report.max_rel_error)
 
@@ -235,9 +250,9 @@ def test_prior_matching_reverses_encoder_gradient_only():
     reversed_label_grad = lr.matrix.grad.copy()
     disc_grads = {k: p.grad.copy() for k, p in disc.named_params().items()}
 
-    lr.matrix.zero_grad()
+    lr.matrix.grad = None
     for p in disc.named_params().values():
-        p.zero_grad()
+        p.grad = None
 
     # same objective without the reversal
     plain = ad.mean(ad.neg(ad.add(ad.logsigmoid(disc.logits(prior)),
@@ -282,7 +297,7 @@ def test_prior_matching_gradient_check_with_reversal_sign():
     lr = make_labels(rng, count=4, dim=3)
     prior = sample_prior(4, 3, 2)
 
-    report = ad.finite_difference_check(
+    report = finite_difference_check(
         lambda: prior_matching_loss(lr, prior, disc), disc.named_params())
     assert report.passed, report.summary()
 
@@ -310,7 +325,7 @@ def test_gate_matches_numpy_oracle_with_nonzero_weights():
     assert gate(tf.pooled, lr).item() == pytest.approx(1.0 / (1.0 + np.exp(-pre)), rel=1e-12)
 
     params = {"labels": lr.matrix, **gate.named_params()}
-    report = ad.finite_difference_check(lambda: gate(tf.pooled, lr), params)
+    report = finite_difference_check(lambda: gate(tf.pooled, lr), params)
     assert report.passed, report.summary()
 
 

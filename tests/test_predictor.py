@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_check
 from htcinfomax import autodiff as ad
 from htcinfomax.autodiff import Tensor
 from htcinfomax.encoders import LabelAwareFeatures
@@ -61,7 +62,7 @@ def test_head_gradients_flow():
 
     params = {"input": laf.matrix}
     params.update(head.named_params())
-    report = ad.finite_difference_check(f, params)
+    report = finite_difference_check(f, params)
     assert report.passed, report.summary()
 
 
