@@ -23,13 +23,12 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .dataio import (
-    _INTEGER,
     DEFAULT_SEED,
     ConfigError,
     DataError,
     Document,
     GeneratorConfig,
-    _check_kinds,
+    _is_int,
     build_vocab_from_file,
     file_sha256,
     generate_synthetic,
@@ -38,7 +37,7 @@ from .dataio import (
     read_raw_corpus,
 )
 from .infomax import NumericError
-from .taxonomy import TaxonomyError, load_taxonomy, stats
+from .taxonomy import TaxonomyError, load_taxonomy
 from .trainer import (
     CheckpointError,
     TrainConfig,
@@ -124,8 +123,9 @@ def _table(rows: list[tuple[str, object]], title: str):
 def cmd_gendata(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     # the seed is --seed, else the file's seed, else the default
-    file_seed = _check_kinds({"seed": file_cfg.pop("seed", DEFAULT_SEED)}, {"seed": _INTEGER},
-                             GeneratorConfig.SECTION)["seed"]
+    file_seed = file_cfg.pop("seed", DEFAULT_SEED)
+    if not _is_int(file_seed):
+        raise ConfigError(f"gendata.seed must be an integer, got {file_seed!r}")
     seed = args.seed if args.seed is not None else file_seed
     config = GeneratorConfig.from_dict(
         _resolve(file_cfg, {f.name: getattr(args, f.name) for f in fields(GeneratorConfig)}))
@@ -138,11 +138,9 @@ def cmd_gendata(args) -> int:
     _write_manifest(out_dir, "gendata", {**config.to_dict(), "seed": seed}, inputs, outputs)
 
     manifest = generate_synthetic(config, seed, out_dir)
-    tax = load_taxonomy(out_dir / "taxonomy.txt")
-    tax_stats = stats(tax)
     _table([
-        ("L (labels)", tax_stats["label_count"]),
-        ("Depth", tax_stats["depth"]),
+        ("L (labels)", manifest["label_count"]),
+        ("Depth", manifest["depth"]),
         ("Avg-L", f"{manifest['avg_labels_per_doc']:.2f}"),
         ("train docs", manifest["splits"]["train"]),
         ("val docs", manifest["splits"]["val"]),
@@ -151,8 +149,8 @@ def cmd_gendata(args) -> int:
     print(json.dumps({
         "out_dir": str(out_dir),
         "seed": seed,
-        "label_count": tax_stats["label_count"],
-        "depth": tax_stats["depth"],
+        "label_count": manifest["label_count"],
+        "depth": manifest["depth"],
         "avg_labels_per_doc": manifest["avg_labels_per_doc"],
         "splits": manifest["splits"],
         "files": manifest["files"],
@@ -177,17 +175,6 @@ def _train_settings(args) -> dict:
         "disable_mi": True if args.disable_mi else None,
         "disable_label_prior": True if args.disable_label_prior else None,
     })
-
-
-def _build_train_config(settings: dict, seed, checkpoint_path, log_path) -> TrainConfig:
-    try:
-        config = TrainConfig.from_dict({**settings, "seed": seed,
-                                        "checkpoint_path": str(checkpoint_path),
-                                        "log_path": str(log_path)})
-        config.validate()
-    except ValueError as err:      # DimensionError included
-        raise UsageError(str(err)) from None
-    return config
 
 
 def _parse_seeds(args, file_seed) -> list:
@@ -230,7 +217,9 @@ def cmd_train(args) -> int:
         suffix = f"_seed{seed}" if len(seeds) > 1 else ""
         ckpt = Path(args.checkpoint) if args.checkpoint else out_dir / f"model{suffix}.ckpt"
         logp = out_dir / f"train_log{suffix}.jsonl"
-        plans.append((seed, _build_train_config(settings, seed, ckpt, logp)))
+        plans.append((seed, TrainConfig.from_dict({**settings, "seed": seed,
+                                                   "checkpoint_path": str(ckpt),
+                                                   "log_path": str(logp)})))
 
     inputs = {"train": train_path, "taxonomy": tax_path}
     if val_path:

@@ -53,7 +53,7 @@ def _is_real(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-# (predicate, description) pairs for `_check_kinds`
+# (predicate, description) pairs for the `KINDS` tables
 _INTEGER = (_is_int, "an integer")
 _POSITIVE = (_is_width, "a positive integer")
 _REAL = (_is_real, "a finite number")
@@ -61,38 +61,40 @@ _REAL = (_is_real, "a finite number")
 DEFAULT_SEED = 7      # gendata's --seed and TrainConfig.seed
 
 
-def _check_kinds(values, kinds: dict, section: str) -> dict:
-    """`values` ready for a settings dataclass: lists become tuples, and a
-    nested section is read by its own class.  Raises ConfigError, naming
-    `section.key`, on a non-object, on a key missing from `kinds` or on the
-    first value its kind rejects.  A kind is a (predicate, description) pair
-    or a nested `Settings` class."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {values!r}")
-    unknown = set(values) - set(kinds)
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    out = {}
-    for name, value in values.items():
-        kind = kinds[name]
-        if isinstance(kind, type):
-            value = kind.from_dict(value)
-        elif not kind[0](value):
-            raise ConfigError(f"{section}.{name} must be {kind[1]}, got {value!r}")
-        out[name] = tuple(value) if isinstance(value, list) else value
-    return out
-
-
 class Settings:
     """Base of the settings dataclasses: each names its `SECTION` for
     messages and declares its `KINDS` table, the one place that says which
-    keys it takes and of which kind.  JSON writes tuples as arrays, so
-    `from_dict(json.loads(json.dumps(s.to_dict())))` equals `s`."""
+    keys it takes and of which kind.  A kind is a (predicate, description)
+    pair or a nested `Settings` class.  An instance checks itself when made:
+    every field against its kind, then `check()`'s rules that join keys.
+    Each failure is a ConfigError; a wrong kind names `section.key`.  JSON
+    writes tuples as arrays, so `from_dict(json.loads(json.dumps(s.to_dict())))`
+    equals `s`."""
+
+    def __post_init__(self):
+        for name, kind in self.KINDS.items():
+            value = getattr(self, name)
+            ok, what = ((isinstance(value, kind), f"a {kind.SECTION} section")
+                        if isinstance(kind, type) else (kind[0](value), kind[1]))
+            if not ok:
+                raise ConfigError(f"{self.SECTION}.{name} must be {what}, got {value!r}")
+        self.check()
+
+    def check(self):
+        """Rules that join keys; none unless a class adds them."""
 
     @classmethod
     def from_dict(cls, values):
-        """An instance from a JSON object; missing keys keep their defaults."""
-        return cls(**_check_kinds(values, cls.KINDS, cls.SECTION))
+        """An instance from a JSON object; missing keys keep their defaults,
+        lists become tuples and a nested section is read by its own class."""
+        if not isinstance(values, dict):
+            raise ConfigError(f"{cls.SECTION} must be a JSON object, got {values!r}")
+        unknown = set(values) - set(cls.KINDS)
+        if unknown:
+            raise ConfigError(f"unknown {cls.SECTION} keys: {sorted(unknown)}")
+        return cls(**{name: cls.KINDS[name].from_dict(value) if isinstance(cls.KINDS[name], type)
+                      else tuple(value) if isinstance(value, list) else value
+                      for name, value in values.items()})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -121,6 +123,13 @@ class Vocabulary:
 
     token_to_id: dict[str, int]
 
+    def __post_init__(self):
+        # ids 0..V-1, so UNK_ID and every id `encode` returns index the embedding table
+        size = len(self.token_to_id)
+        if size < 2 or set(self.token_to_id.values()) != set(range(size)):
+            raise DataError(f"a vocabulary of {size} tokens must hold each id 0..{size - 1} "
+                            "once, and at least PAD and UNK")
+
     def __len__(self):
         return len(self.token_to_id)
 
@@ -138,17 +147,13 @@ class Vocabulary:
         return cls(token_to_id={str(k): int(v) for k, v in mapping.items()})
 
 
-def build_vocab(docs, min_freq: int = 1) -> Vocabulary:
-    """Count tokens over raw documents (lists of token strings) and keep
-    those with frequency >= min_freq, ids in descending-frequency order
-    (ties broken lexicographically) after PAD and UNK."""
-    if min_freq < 1:
-        raise DataError("min_freq must be >= 1")
+def build_vocab(docs) -> Vocabulary:
+    """Count tokens over raw documents (lists of token strings); ids follow
+    descending frequency (ties broken lexicographically) after PAD and UNK."""
     counts: Counter[str] = Counter()
     for tokens in docs:
         counts.update(tokens)
-    kept = sorted((t for t, c in counts.items() if c >= min_freq),
-                  key=lambda t: (-counts[t], t))
+    kept = sorted(counts, key=lambda t: (-counts[t], t))
     mapping = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for tok in kept:
         mapping[tok] = len(mapping)
@@ -192,8 +197,8 @@ def read_raw_corpus(path):
             yield lineno, tokens, record
 
 
-def build_vocab_from_file(path, min_freq: int = 1) -> Vocabulary:
-    return build_vocab((tokens for _, tokens, _ in read_raw_corpus(path)), min_freq)
+def build_vocab_from_file(path) -> Vocabulary:
+    return build_vocab(tokens for _, tokens, _ in read_raw_corpus(path))
 
 
 def load_corpus(path, vocab: Vocabulary, tax: Taxonomy) -> list[Document]:
@@ -315,9 +320,6 @@ class GeneratorConfig(Settings):
                         (lambda v: v is None or _is_count(v), "a non-negative integer or null")),
     }
 
-    def validate(self):
-        _check_kinds(vars(self), self.KINDS, self.SECTION)
-
     def resolved_val_docs(self) -> int:
         return self.val_docs_per_label if self.val_docs_per_label is not None else max(1, self.docs_per_label // 5)
 
@@ -380,7 +382,6 @@ def generate_synthetic(config: GeneratorConfig, seed: int, out_dir) -> dict:
 
     Bit-reproducible for a fixed (config, seed); returns the manifest.
     """
-    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -186,22 +186,3 @@ def normalized_adjacency(tax: Taxonomy) -> Tensor:
     inv_sqrt_deg = 1.0 / np.sqrt(sym.sum(axis=1))
     a_hat = sym * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
     return Tensor(a_hat)
-
-
-def stats(tax: Taxonomy) -> dict:
-    """Corpus-card style summary: label count, depth, branching histogram.
-
-    `label_count` excludes the virtual root; the branching histogram maps
-    out-degree -> number of internal nodes with that many children.
-    """
-    histogram: dict[int, int] = {}
-    for node in range(tax.num_nodes):
-        fanout = len(tax.children.get(node, []))
-        if fanout > 0:
-            histogram[fanout] = histogram.get(fanout, 0) + 1
-    return {
-        "label_count": tax.num_labels,
-        "node_count": tax.num_nodes,
-        "depth": tax.depth,
-        "branching": dict(sorted(histogram.items())),
-    }

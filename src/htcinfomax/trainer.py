@@ -74,13 +74,13 @@ class ModelDims(Settings):
             "a list of positive integers")),
     }
 
-    def validate(self):
+    def check(self):
         if self.feature_dim != self.label_dim:
-            raise ad.DimensionError("attention requires feature_dim == label_dim")
+            raise ConfigError("attention requires feature_dim == label_dim")
         if not self.text_kernels or self.feature_dim % len(self.text_kernels) != 0:
-            raise ad.DimensionError("feature_dim must divide evenly across >= 1 text kernels")
+            raise ConfigError("feature_dim must divide evenly across >= 1 text kernels")
         if len(self.prior_hidden) != 2:
-            raise ad.DimensionError("prior_hidden must hold exactly two widths")
+            raise ConfigError("prior_hidden must hold exactly two widths")
 
 
 @dataclass
@@ -103,7 +103,8 @@ class TrainConfig(Settings):
         "epochs": (_is_count, "a non-negative integer"),
         "batch_size": _POSITIVE, "max_len": _POSITIVE,
         "seed": _INTEGER,
-        "learning_rate": _REAL, "threshold": _REAL,
+        "learning_rate": (lambda v: _is_real(v) and v > 0, "a positive number"),
+        "threshold": _REAL,
         "clip_norm": (lambda v: _is_real(v) and v >= 0, "a non-negative number"),
         **dict.fromkeys(("disable_mi", "disable_label_prior"),
                         (lambda v: isinstance(v, bool), "true or false")),
@@ -112,12 +113,9 @@ class TrainConfig(Settings):
         "dims": ModelDims,
     }
 
-    def validate(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+    def check(self):
         if self.batch_size < 2 and not self.disable_mi:
             raise ConfigError("batch_size must be >= 2 unless the MI loss is disabled")
-        self.dims.validate()
 
 
 def _arena_zeros(size: int) -> np.ndarray:
@@ -217,7 +215,6 @@ class Model:
         """`init` false draws no initial values: the randomly initialised
         parameters are left unset, for a caller that overwrites every value
         (`load_model`)."""
-        config.validate()
         dims = config.dims
         self.tax = tax
         self.vocab = vocab
@@ -233,27 +230,19 @@ class Model:
                                                   dims.label_dim, rng("structure"))
         self.head = PredictorHead(self.num_labels, dims.feature_dim, rng("head"),
                                   threshold=config.threshold)
-        self.mi_disc = None
-        self.prior_disc = None
-        self.gate = None
-        if not config.disable_mi:
-            self.mi_disc = MIDiscriminator(dims.feature_dim, dims.label_dim, dims.mi_hidden,
-                                           rng("mi"), kernel_size=dims.mi_kernel)
-        if not config.disable_label_prior:
-            self.prior_disc = PriorDiscriminator(dims.label_dim, dims.prior_hidden, rng("prior"))
-        if self.mi_disc is not None and self.prior_disc is not None:
-            self.gate = LossWeightEstimator(dims.feature_dim, dims.label_dim)
+        self.mi_disc = None if config.disable_mi else MIDiscriminator(
+            dims.feature_dim, dims.label_dim, dims.mi_hidden, rng("mi"), kernel_size=dims.mi_kernel)
+        self.prior_disc = None if config.disable_label_prior else PriorDiscriminator(
+            dims.label_dim, dims.prior_hidden, rng("prior"))
+        self.gate = (None if config.disable_mi or config.disable_label_prior
+                     else LossWeightEstimator(dims.feature_dim, dims.label_dim))
 
         self.registry = ParamRegistry()
-        self.registry.register("text", self.text_encoder.named_params())
-        self.registry.register("structure", self.structure_encoder.named_params())
-        self.registry.register("head", self.head.named_params())
-        if self.mi_disc is not None:
-            self.registry.register("mi", self.mi_disc.named_params())
-        if self.prior_disc is not None:
-            self.registry.register("prior", self.prior_disc.named_params())
-        if self.gate is not None:
-            self.registry.register("gate", self.gate.named_params())
+        for prefix, part in (("text", self.text_encoder), ("structure", self.structure_encoder),
+                             ("head", self.head), ("mi", self.mi_disc),
+                             ("prior", self.prior_disc), ("gate", self.gate)):
+            if part is not None:
+                self.registry.register(prefix, part.named_params())
         self.registry.layout(fill=init)
 
     def forward(self, batch: Batch, lr: LabelRepresentations | None = None,
@@ -706,7 +695,6 @@ def load_model(path) -> Model:
         config = TrainConfig.from_dict(header["config"])
         tax = parse_taxonomy(header["taxonomy"])
         vocab = Vocabulary.from_json(header["vocab"])
-        config.validate()
         # the stored shapes are bounded by the body; the config's widths are not
         expected = param_shapes(config, len(vocab), tax)
     except (ValueError, AttributeError, KeyError, TypeError) as err:

@@ -481,6 +481,32 @@ def test_hostile_checkpoint_is_runtime_error(workspace, tmp_path, capsys, comman
     assert err.splitlines()[-1].startswith(f"error: {bad}")
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("bad_id", ["past-the-table", "negative"])
+def test_checkpoint_vocabulary_id_outside_the_table_is_runtime_error(
+        workspace, tmp_path, capsys, command, bad_id):
+    blob = workspace["checkpoint"].read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    vocab = header["vocab"]
+    # every token but PAD and UNK, so the evaluated documents read the bad id
+    for token, token_id in vocab.items():
+        if token_id > 1:
+            vocab[token] = len(vocab) + 900 if bad_id == "past-the-table" else -1
+    edited = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + length:])
+    rc = cli.main([command, "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "test.jsonl"),
+                   "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        captured.err.strip()]
+    assert "malformed header" in captured.err and "vocabulary" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 class ShortReads(io.BufferedReader):
     """Returns half of each block read, as if the file shrank after its
     size was taken."""

@@ -64,16 +64,24 @@ def test_build_vocab_orders_by_frequency_then_token():
     assert vocab.lookup("zzz") == UNK_ID
 
 
-def test_build_vocab_min_freq_filters():
-    vocab = build_vocab([["a", "a", "b"]], min_freq=2)
-    assert vocab.lookup("a") != UNK_ID
-    assert vocab.lookup("b") == UNK_ID
-
-
 def test_vocab_round_trips_through_json():
     vocab = build_vocab([["x", "y"]])
     again = Vocabulary.from_json(json.loads(json.dumps(vocab.to_json())))
     assert again.token_to_id == vocab.token_to_id
+
+
+@pytest.mark.parametrize("mapping", [
+    {"<pad>": 0, "<unk>": 1, "a": 3},        # past the table: no id 2
+    {"<pad>": 0, "<unk>": 1, "a": -1},
+    {"<pad>": 0, "<unk>": 1, "a": 1},        # two tokens share an id
+    {"<pad>": 0},                            # no UNK
+    {},
+])
+def test_vocabulary_ids_must_be_exactly_0_to_size_minus_1(mapping):
+    with pytest.raises(DataError, match="vocabulary"):
+        Vocabulary(mapping)
+    with pytest.raises(DataError, match="vocabulary"):
+        Vocabulary.from_json(mapping)
 
 
 # -- corpus loading ---------------------------------------------------------------
@@ -195,13 +203,13 @@ def test_make_batches_rejects_bad_batch_size():
 
 def test_generator_config_validation():
     with pytest.raises(ConfigError):
-        GeneratorConfig(depth=0).validate()
+        GeneratorConfig(depth=0)
     with pytest.raises(ConfigError):
-        GeneratorConfig(branching=1).validate()
+        GeneratorConfig(branching=1)
     with pytest.raises(ConfigError):
-        GeneratorConfig(noise_rate=1.5).validate()
+        GeneratorConfig(noise_rate=1.5)
     with pytest.raises(ConfigError):
-        GeneratorConfig(imbalance_exponent=-1.0).validate()
+        GeneratorConfig(imbalance_exponent=-1.0)
 
 
 def test_generate_synthetic_is_bit_reproducible(tmp_path):

@@ -1,4 +1,4 @@
-"""Taxonomy parsing, validation, adjacency normalization, and stats."""
+"""Taxonomy parsing, validation, and adjacency normalization."""
 
 import numpy as np
 import pytest
@@ -151,15 +151,6 @@ def test_normalized_adjacency_two_nodes_exact():
     tax = parse_taxonomy("Root\ta\n")
     got = tx.normalized_adjacency(tax).data
     assert np.allclose(got, np.full((2, 2), 0.5))
-
-
-def test_stats_block():
-    tax = parse_taxonomy(SAMPLE)
-    s = tx.stats(tax)
-    assert s["label_count"] == 5
-    assert s["node_count"] == 6
-    assert s["depth"] == 2
-    assert s["branching"] == {2: 2, 1: 1}
 
 
 def test_load_taxonomy_reads_file(tmp_path):

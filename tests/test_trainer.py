@@ -12,9 +12,9 @@ import pytest
 from htcinfomax import autodiff as ad
 from htcinfomax import trainer
 from htcinfomax.autodiff import Tensor
-from htcinfomax.dataio import (DataError, Document, GeneratorConfig, Vocabulary,
-                               build_vocab_from_file, generate_synthetic, load_corpus,
-                               make_batches)
+from htcinfomax.dataio import (ConfigError, DataError, Document, GeneratorConfig,
+                               Vocabulary, build_vocab_from_file, generate_synthetic,
+                               load_corpus, make_batches)
 from htcinfomax.infomax import NumericError
 from htcinfomax.taxonomy import load_taxonomy, parse_taxonomy
 from htcinfomax.trainer import (
@@ -233,17 +233,30 @@ def test_train_config_round_trips_through_dict():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match="batch_size"):
-        tiny_config(batch_size=1).validate()
-    tiny_config(batch_size=1, disable_mi=True).validate()
-    with pytest.raises(ValueError, match="learning_rate"):
-        tiny_config(learning_rate=0.0).validate()
-    with pytest.raises(ad.DimensionError):
-        TrainConfig(dims=ModelDims(feature_dim=6, label_dim=8)).validate()
-    with pytest.raises(ad.DimensionError, match="text kernels"):
-        TrainConfig(dims=ModelDims(text_kernels=())).validate()
-    with pytest.raises(ad.DimensionError, match="prior_hidden"):
-        TrainConfig(dims=ModelDims(prior_hidden=(8,))).validate()
+    with pytest.raises(ConfigError, match="batch_size"):
+        tiny_config(batch_size=1)
+    tiny_config(batch_size=1, disable_mi=True)
+    with pytest.raises(ConfigError, match="learning_rate"):
+        tiny_config(learning_rate=0.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(dims=ModelDims(feature_dim=6, label_dim=8))
+    with pytest.raises(ConfigError, match="text kernels"):
+        TrainConfig(dims=ModelDims(text_kernels=()))
+    with pytest.raises(ConfigError, match="prior_hidden"):
+        TrainConfig(dims=ModelDims(prior_hidden=(8,)))
+
+
+@pytest.mark.parametrize("make,key", [
+    (lambda: TrainConfig(clip_norm=-1.0), "train.clip_norm"),
+    (lambda: TrainConfig(epochs=-1), "train.epochs"),
+    (lambda: TrainConfig(seed="7"), "train.seed"),
+    (lambda: TrainConfig(dims=5), "train.dims"),
+    (lambda: ModelDims(feature_dim=6, label_dim=8), "feature_dim == label_dim"),
+    (lambda: GeneratorConfig(depth=0), "gendata.depth"),
+], ids=["clip_norm", "epochs", "seed", "dims", "feature_dim", "depth"])
+def test_settings_check_themselves_when_made(make, key):
+    with pytest.raises(ConfigError, match=key):
+        make()
 
 
 @pytest.mark.parametrize("dims,message", [
