@@ -7,7 +7,7 @@ the dynamically recorded graph.
 
 Broadcasting is deliberately restricted: elementwise ops require identical
 shapes, except scalar-times-tensor; a trailing-axis bias vector is an
-operand of `matmul`, `conv1d` and `token_conv`.  Everything runs
+operand of `matmul` and of each `token_conv` branch.  Everything runs
 single-threaded; a graph must not be shared across threads mid-pass.
 
 Gradient ownership: a parameter's first gradient is copied into its arena
@@ -314,24 +314,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, parts, back, "concat")
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of a 2-D table; grads scatter-add back into the rows.
-
-    `ids` may be a 1-D or 2-D integer array; output appends the embedding
-    axis: ids[..., ] -> out[..., d].
-    """
-    if table.ndim != 2:
-        raise DimensionError(f"embedding_lookup expects a 2-D table, got {table.shape}")
-    ids = np.asarray(ids, dtype=np.int64)
-    _check_ids(ids, table.shape[0])
-
-    def back(g, table=table, ids=ids):
-        if table.requires_grad:
-            np.add.at(_row_grad(table), ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-
-    return _make(table.data[ids], (table,), back, "embedding_lookup")
-
-
 def _check_ids(ids: np.ndarray, rows: int):
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
         bad = ids[(ids < 0) | (ids >= rows)][0]
@@ -510,50 +492,6 @@ def _unshift_taps(gy: np.ndarray, g: np.ndarray, spans, c_out: int):
         gy[:, hi + d:, block] = 0.0
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Same-length 1-D cross-correlation over the sequence axis, plus
-    bias[C_out] at every position.
-
-    x is [S, C_in] or [B, S, C_in]; kernel is [k, C_in, C_out].  Zero
-    padding keeps the output length equal to S (left pad (k-1)//2, the
-    remainder on the right, so even kernel widths are allowed).
-    """
-    if kernel.ndim != 3:
-        raise DimensionError(f"conv1d kernel must be [k, C_in, C_out], got {kernel.shape}")
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"conv1d input must be 2-D or 3-D, got {x.shape}")
-    batch, seq_len, c_in = (1,) * (3 - x.ndim) + x.shape
-    k, kc_in, c_out = kernel.shape
-    if seq_len < 1:
-        raise DomainError("conv1d over an empty sequence")
-    if kc_in != c_in:
-        raise DimensionError(f"conv1d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-
-    # One GEMM gives every tap's response at every position, y[:, j, t] =
-    # x[:, j] @ kernel[t]; `_shift_taps` adds them into the output.
-    spans = _tap_spans(k, seq_len)
-    w = kernel.data.transpose(1, 0, 2).reshape(c_in, k * c_out)
-    x_flat = x.data.reshape(batch * seq_len, c_in)
-    y = (x_flat @ w).reshape(batch, seq_len, k * c_out)
-    out = np.empty((batch, seq_len, c_out))
-    _shift_taps(out, y, spans, c_out)
-    out = out.reshape(x.shape[:-1] + (c_out,))
-    with_bias = _add_bias(out, bias, "conv1d")
-
-    def back(g, x=x, kernel=kernel, bias=bias, x_flat=x_flat, w=w, spans=spans):
-        gy = np.empty((batch, seq_len, k * c_out))
-        _unshift_taps(gy, g.reshape(batch, seq_len, c_out), spans, c_out)
-        gy = gy.reshape(batch * seq_len, k * c_out)
-        if kernel.requires_grad:
-            _accum(kernel, (x_flat.T @ gy).reshape(c_in, k, c_out).transpose(1, 0, 2))
-        if x.requires_grad:
-            _accum(x, (gy @ w.T).reshape(x.shape))
-        if bias is not None:
-            _accum(bias, g.sum(axis=tuple(range(g.ndim - 1))))
-
-    return _make(out, (x, kernel) + with_bias, back, "conv1d")
-
-
 def _check_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> int:
     """Check the table and kernel shapes; returns the width of the stacked
     taps, sum of k*C_out."""
@@ -605,23 +543,26 @@ def _occurrence_rounds(pos: np.ndarray, n: int) -> list[np.ndarray]:
 
 def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
                ids, mask, responses: np.ndarray | None = None) -> Tensor:
-    """Parallel same-length convolutions over the embeddings of the unmasked
-    tokens, each plus its bias, concatenated on the channel axis.
+    """Parallel same-length convolutions, each plus its bias, over the table
+    rows that the unmasked positions read, concatenated on the channel axis.
 
-    The same linear map as `concat([conv1d(apply_mask(embedding_lookup(
-    embedding, ids), mask), kernel, bias) ...], axis=2)`, computed from a
-    response table: with W every kernel laid out as [C_in, k*C_out] side by
-    side, R = E[rows] @ W projects each distinct token once, and a branch's
-    output at position s adds, for each tap t, block t of the response of
-    the token at s + t - left.  Masked positions and positions outside the
-    sequence contribute nothing.
+    `embedding` is any [R, C_in] table: the vocabulary embedding with `ids`
+    the token ids, or a batch's features flattened to [B*S, C_in] with `ids`
+    set to the positions, `arange(B*S).reshape(B, S)`.  ids and mask are
+    [B, S]: position s of sequence b holds row ids[b, s] where mask[b, s]
+    is nonzero and a zero vector elsewhere, as does the padding outside the
+    sequence.  A branch's output at s is its bias plus, for each tap t of
+    its [k, C_in, C_out] kernel, tap t applied to the vector at
+    s + t - left, left = (k - 1) // 2; the output is [B, S, sum of C_out].
 
-    ids and mask are [B, S]; the output is [B, S, sum of C_out].  Without
-    `responses` the rows are the distinct ids at unmasked positions.
-    `responses` (`token_responses`) covers every embedding row, so the
-    responses a batch reads do not depend on the other tokens of its batch;
-    it is a constant, so the output then records no graph, whatever the
-    grad mode.
+    It is computed from a response table: with W every kernel laid out as
+    [C_in, k*C_out] side by side, R = E[rows] @ W projects each distinct
+    row once, and the output at s adds block t of the response read at
+    s + t - left.  Without `responses` the rows are the distinct ids at
+    unmasked positions.  `responses` (`token_responses`) covers every
+    table row, so the responses a batch reads do not depend on the other
+    tokens of its batch; it is a constant, so the output then records no
+    graph, whatever the grad mode.
     """
     ids = np.asarray(ids, dtype=np.int64)
     valid = np.asarray(mask) != 0
@@ -667,15 +608,14 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         for kernel, bias, cols, chans, spans in branches:
             _unshift_taps(gy[:, :, cols], g[:, :, chans], spans, kernel.shape[2])
             _accum(bias, g[:, :, chans].sum(axis=(0, 1)))
-        # sum per distinct token, in rounds that each write distinct rows; the
-        # first round holds every row's first occurrence, so it writes them all
+        # sum per distinct row, in rounds that each write distinct rows; the
+        # first round holds every row once, in row order, so it is a gather
+        # (there is no round when every position is masked)
         gy, flat = gy.reshape(batch * seq_len, -1), pos.reshape(-1)
-        dr = np.empty((rows.size, width))
-        for j, sel in enumerate(_occurrence_rounds(flat, rows.size)):
-            if j:
-                dr[flat[sel]] += gy[sel]
-            else:
-                dr[flat[sel]] = gy[sel]
+        first, *later = _occurrence_rounds(flat, rows.size) or [flat[:0]]
+        dr = gy[first]
+        for sel in later:
+            dr[flat[sel]] += gy[sel]
         if any(kernel.requires_grad for kernel, *_ in branches):
             dw = x.T @ dr
             for kernel, _, cols, _, _ in branches:

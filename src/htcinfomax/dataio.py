@@ -125,10 +125,10 @@ class Vocabulary:
 
     def __post_init__(self):
         # ids 0..V-1, so UNK_ID and every id `encode` returns index the embedding table
-        size = len(self.token_to_id)
-        if size < 2 or set(self.token_to_id.values()) != set(range(size)):
-            raise DataError(f"a vocabulary of {size} tokens must hold each id 0..{size - 1} "
-                            "once, and at least PAD and UNK")
+        size, ids = len(self.token_to_id), self.token_to_id.values()
+        if size < 2 or not all(map(_is_int, ids)) or set(ids) != set(range(size)):
+            raise DataError(f"a vocabulary of {size} tokens must hold each integer id "
+                            f"0..{size - 1} once, and at least PAD and UNK")
 
     def __len__(self):
         return len(self.token_to_id)
@@ -144,7 +144,7 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, mapping: dict) -> "Vocabulary":
-        return cls(token_to_id={str(k): int(v) for k, v in mapping.items()})
+        return cls(token_to_id={str(k): v for k, v in mapping.items()})
 
 
 def build_vocab(docs) -> Vocabulary:

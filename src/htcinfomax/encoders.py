@@ -100,16 +100,16 @@ class TextEncoder:
 class StructureEncoder:
     """Two graph-convolution layers over the label hierarchy.
 
-    H1 = relu(A_hat @ H0 @ W0 + b0), Y = A_hat @ H1 @ W1 + b1, where H0 is
-    a learned embedding per taxonomy node.  Output keeps only non-root
-    rows, in label id order.
+    H1 = relu(A_hat @ H0 @ W0 + b0) over every taxonomy node, H0 a learned
+    embedding per node; Y = A_hat[L] @ H1 @ W1 + b1 only at the rows L of
+    the non-root nodes, in label id order: the label representations.
     """
 
     def __init__(self, adjacency: Tensor, nonroot_ids: list[int], label_dim: int,
                  rng: np.random.Generator):
         n_nodes = adjacency.shape[0]
         self.adjacency = adjacency
-        self.nonroot_ids = np.asarray(nonroot_ids, dtype=np.int64)
+        self.label_rows = Tensor(adjacency.data[nonroot_ids])
         self.node_embedding = embedding_table(rng, n_nodes, label_dim)
         self.w0 = glorot(rng, (label_dim, label_dim), label_dim, label_dim)
         self.b0 = zeros_param(label_dim)
@@ -127,8 +127,8 @@ class StructureEncoder:
 
     def __call__(self) -> LabelRepresentations:
         hidden = ad.relu(ad.matmul(ad.matmul(self.adjacency, self.node_embedding), self.w0, self.b0))
-        out = ad.matmul(ad.matmul(self.adjacency, hidden), self.w1, self.b1)
-        return LabelRepresentations(matrix=ad.embedding_lookup(out, self.nonroot_ids))
+        out = ad.matmul(ad.matmul(self.label_rows, hidden), self.w1, self.b1)
+        return LabelRepresentations(matrix=out)
 
 
 def multi_label_attention(tf: TextFeatures, lr: LabelRepresentations) -> LabelAwareFeatures:

@@ -1,6 +1,7 @@
 """Gradient-check harness for the tests: `finite_difference_check` verifies
 any composed scalar function against central differences, and `sum_` is the
-scalar reduction the checked functions end in."""
+scalar reduction the checked functions end in.  `conv_reference` is the
+plain numpy convolution that the convolution tests compare against."""
 
 from __future__ import annotations
 
@@ -22,6 +23,17 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
             _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
 
     return _make(a.data.sum(axis=axis), (a,), back, "sum")
+
+
+def conv_reference(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Same-length 1-D cross-correlation of x [..., S, C_in] with kernel
+    [k, C_in, C_out], as a sum of shifted GEMMs over the zero-padded input
+    (left pad (k-1)//2, the remainder on the right): [..., S, C_out]."""
+    k, seq_len = kernel.shape[0], x.shape[-2]
+    left = (k - 1) // 2
+    padded = np.zeros(x.shape[:-2] + (seq_len + k - 1, x.shape[-1]))
+    padded[..., left:left + seq_len, :] = x
+    return sum(padded[..., t:t + seq_len, :] @ kernel[t] for t in range(k))
 
 
 @dataclass

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import finite_difference_check, sum_
+from gradcheck import conv_reference, finite_difference_check, sum_
 from htcinfomax import autodiff as ad
 from htcinfomax.autodiff import Tensor
 
@@ -22,6 +22,20 @@ def rand(rng, *shape):
 def fd(f, params, tol=1e-4):
     report = finite_difference_check(f, params, tol=tol)
     assert report.passed, report.summary()
+
+
+def conv1d(x, kernel, bias=None, mask=None):
+    """A same-length 1-D convolution over x, [S, C] or [B, S, C], plus an
+    optional bias, as the MI discriminator runs its conv1: `token_conv` over
+    x's rows with ids set to the positions, under a [B, S] or [S] mask (by
+    default none is masked)."""
+    *lead, seq_len, c_in = x.shape
+    batch, c_out = (lead or [1])[0], kernel.shape[2]
+    positions = np.arange(batch * seq_len).reshape(batch, seq_len)
+    mask = np.ones(positions.shape) if mask is None else np.reshape(mask, positions.shape)
+    bias = Tensor(np.zeros(c_out)) if bias is None else bias
+    out = ad.token_conv(ad.reshape(x, (batch * seq_len, c_in)), [kernel], [bias], positions, mask)
+    return ad.reshape(out, x.shape[:-1] + (c_out,))
 
 
 # -- forward values against numpy ------------------------------------------------
@@ -41,21 +55,22 @@ def test_add_mul_match_numpy():
 def test_fused_bias_is_exact(op):
     # the bias operand does what a separate add did: the same one addition
     # forward and the same sum over the leading axes backward, bit for bit
+    # (token_conv always takes a bias, so its bare product adds zeros)
     rng = np.random.default_rng(1)
     if op == "matmul":
-        x, w = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+        fn, x, w = ad.matmul, rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
         product = x @ w
     else:
-        x, w = rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 3, 4))
-        product = ad.conv1d(Tensor(x), Tensor(w)).data
+        fn, x, w = conv1d, rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 3, 4))
+        product = conv1d(Tensor(x), Tensor(w)).data
     bias = Tensor(rng.standard_normal(4), requires_grad=True)
-    out = getattr(ad, op)(Tensor(x), Tensor(w, requires_grad=True), bias)
+    out = fn(Tensor(x), Tensor(w, requires_grad=True), bias)
     assert np.array_equal(out.data, product + bias.data)
     g = rng.standard_normal(out.shape)
     ad.backward(sum_(ad.mul(out, Tensor(g))))
     assert np.array_equal(bias.grad, g.sum(axis=tuple(range(g.ndim - 1))))
     with pytest.raises(ad.DimensionError, match="bias"):
-        getattr(ad, op)(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
+        fn(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
 
 
 def test_add_rejects_mismatched_shapes():
@@ -127,7 +142,7 @@ def test_conv1d_matches_explicit_sliding_window():
     for k in (2, 3, 4):
         x = rng.standard_normal((5, 3))
         kern = rng.standard_normal((k, 3, 2))
-        out = ad.conv1d(Tensor(x), Tensor(kern)).data
+        out = conv1d(Tensor(x), Tensor(kern)).data
         assert out.shape == (5, 2)
         left = (k - 1) // 2
         padded = np.zeros((5 + k - 1, 3))
@@ -143,25 +158,17 @@ def test_conv1d_batched_equals_per_sequence():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 6, 4))
     kern = rng.standard_normal((3, 4, 5))
-    batched = ad.conv1d(Tensor(x), Tensor(kern)).data
+    batched = conv1d(Tensor(x), Tensor(kern)).data
     for b in range(3):
-        single = ad.conv1d(Tensor(x[b]), Tensor(kern)).data
+        single = conv1d(Tensor(x[b]), Tensor(kern)).data
         assert np.allclose(batched[b], single)
 
 
 def test_conv1d_errors():
     with pytest.raises(ad.DomainError):
-        ad.conv1d(Tensor(np.zeros((0, 3))), Tensor(np.zeros((3, 3, 2))))
+        conv1d(Tensor(np.zeros((0, 3))), Tensor(np.zeros((3, 3, 2))))
     with pytest.raises(ad.DimensionError):
-        ad.conv1d(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 5, 2))))
-
-
-def test_embedding_lookup_and_bounds():
-    table = Tensor(np.arange(12.0).reshape(4, 3))
-    out = ad.embedding_lookup(table, np.array([[0, 3], [1, 1]]))
-    assert np.allclose(out.data[0, 1], table.data[3])
-    with pytest.raises(IndexError):
-        ad.embedding_lookup(table, np.array([4]))
+        conv1d(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 5, 2))))
 
 
 def test_masked_mean_oracle_and_empty_row():
@@ -273,7 +280,7 @@ def test_grad_conv1d_all_kernels():
         weights = rng.standard_normal((2, 5, 2))
 
         def f():
-            return sum_(ad.mul(ad.conv1d(x, kern), Tensor(weights)))
+            return sum_(ad.mul(conv1d(x, kern), Tensor(weights)))
 
         fd(f, {"x": x, "kern": kern})
 
@@ -284,24 +291,21 @@ def test_conv1d_oracle_over_widths_and_lengths(k, batched):
     # lengths 1-9 include sequences shorter than a tap's reach (S=2, k=7),
     # where that tap's valid span is empty
     rng = np.random.default_rng(100 + k)
-    left = (k - 1) // 2
     for seq_len in range(1, 10):
         shape = (2, seq_len, 3) if batched else (seq_len, 3)
         x, kern = rand(rng, *shape), rand(rng, k, 3, 2)
-        padded = np.zeros(shape[:-2] + (seq_len + k - 1, 3))
-        padded[..., left:left + seq_len, :] = x.data
-        expected = sum(padded[..., t:t + seq_len, :] @ kern.data[t] for t in range(k))
-        out = ad.conv1d(x, kern).data
+        out = conv1d(x, kern).data
         assert out.shape == shape[:-1] + (2,)
-        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(out, conv_reference(x.data, kern.data), rtol=1e-12, atol=1e-12)
         weights = Tensor(rng.standard_normal(out.shape))
-        fd(lambda: sum_(ad.mul(ad.conv1d(x, kern), weights)), {"x": x, "kern": kern})
+        fd(lambda: sum_(ad.mul(conv1d(x, kern), weights)), {"x": x, "kern": kern})
 
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "2d"])
 @pytest.mark.parametrize("k", range(1, 5))
 def test_grad_conv1d_bias_ragged(k, batched):
-    # as the text encoder runs it: masked input, conv plus bias, masked output
+    # as the MI discriminator runs it: masked input, conv plus bias over the
+    # unmasked rows only, masked output
     rng = np.random.default_rng(200 + k)
     mask = np.array([[1.0] * 5, [1.0, 1.0, 0.0, 0.0, 0.0]])
     if not batched:
@@ -310,19 +314,21 @@ def test_grad_conv1d_bias_ragged(k, batched):
     weights = Tensor(rng.standard_normal(mask.shape + (2,)))
 
     def f():
-        out = ad.conv1d(ad.apply_mask(x, mask), kern, bias)
+        out = conv1d(ad.apply_mask(x, mask), kern, bias, mask)
         return sum_(ad.mul(ad.apply_mask(out, mask), weights))
 
     fd(f, {"x": x, "kern": kern, "bias": bias})
 
 
-# -- token_conv against the chain it replaces --------------------------------------
+# -- token_conv against the numpy lookup, mask, conv and concat chain -----------------
 
 
-def lookup_conv_chain(table, kernels, biases, ids, mask):
-    """The text encoder's former composition, kept as token_conv's oracle."""
-    embedded = ad.apply_mask(ad.embedding_lookup(table, ids), mask)
-    return ad.concat([ad.conv1d(embedded, k, b) for k, b in zip(kernels, biases)], axis=2)
+def lookup_mask_conv_concat(table, kernels, biases, ids, mask):
+    """token_conv's oracle in plain numpy: look the ids up, zero the masked
+    positions, convolve with each kernel plus its bias, concatenate."""
+    x = table.data[ids] * mask[..., None]
+    return np.concatenate([conv_reference(x, k.data) + b.data for k, b in zip(kernels, biases)],
+                          axis=-1)
 
 
 def assert_close(actual, expected):
@@ -356,27 +362,14 @@ def token_conv_inputs(case, seed=0):
 @pytest.mark.parametrize("case", sorted(TOKEN_CONV_CASES))
 def test_token_conv_matches_the_lookup_mask_conv_concat_chain(case, table_rows):
     table, kernels, biases, ids, mask = token_conv_inputs(case)
-    params = [table, *kernels, *biases]
-    weights = Tensor(np.random.default_rng(1).standard_normal(ids.shape + (2 * len(kernels),)))
-    results = []
-    for f in (lookup_conv_chain, ad.token_conv):
-        args = (table, kernels, biases, ids, mask)
-        if f is ad.token_conv and table_rows == "vocabulary":
-            args += (ad.token_responses(table, kernels),)
-        for p in params:
-            p.grad = None
-        out = f(*args)
-        results.append([out.data])
-        if out.requires_grad:       # a given table is a constant: forward only
-            ad.backward(sum_(ad.mul(out, weights)))
-            results[-1] += [p.grad.copy() for p in params]
-    assert len(results[1]) == (1 if table_rows == "vocabulary" else 1 + len(params))
-    for actual, expected in zip(results[1], results[0]):
-        assert actual.shape == expected.shape
-        assert_close(actual, expected)
+    given = (ad.token_responses(table, kernels),) if table_rows == "vocabulary" else ()
+    out = ad.token_conv(table, kernels, biases, ids, mask, *given)
+    assert_close(out.data, lookup_mask_conv_concat(table, kernels, biases, ids, mask))
+    # a given table is a constant; test_grad_token_conv checks the gradients of the other
+    assert out.requires_grad == (not given)
 
 
-@pytest.mark.parametrize("case", ["widths-1-to-4", "shorter-than-kernel", "one-id-everywhere"])
+@pytest.mark.parametrize("case", sorted(TOKEN_CONV_CASES))
 def test_grad_token_conv(case):
     table, kernels, biases, ids, mask = token_conv_inputs(case, seed=3)
     weights = Tensor(np.random.default_rng(4).standard_normal(ids.shape + (2 * len(kernels),)))
@@ -389,15 +382,18 @@ def test_grad_token_conv(case):
 def test_token_conv_writes_the_embedding_gradient_into_its_arena_block():
     # a parameter's first gradient lands in grad_view; a second contribution adds to it
     table, kernels, biases, ids, mask = token_conv_inputs("widths-1-to-4")
+
+    def two_convs(t):
+        return ad.add(sum_(ad.token_conv(t, kernels, biases, ids, mask)),
+                      sum_(ad.token_conv(t, kernels[1:], biases[1:], ids[::-1], mask)))
+
     block = np.full(table.shape, np.nan)
     table.grad_view = block
-    out = ad.token_conv(table, kernels, biases, ids, mask)
-    ad.backward(ad.add(sum_(out), sum_(ad.embedding_lookup(table, ids))))
+    ad.backward(two_convs(table))
     assert table.grad is block
     fresh, *_ = token_conv_inputs("widths-1-to-4")
-    ad.backward(ad.add(sum_(lookup_conv_chain(fresh, kernels, biases, ids, mask)),
-                       sum_(ad.embedding_lookup(fresh, ids))))
-    assert_close(block, fresh.grad)
+    ad.backward(two_convs(fresh))
+    assert np.array_equal(block, fresh.grad)
 
 
 def test_token_conv_stacks_the_taps_from_a_response_table_only_for_backward(monkeypatch):
@@ -447,14 +443,6 @@ def test_token_conv_errors():
         ad.token_conv(table, kernels, biases, np.full(ids.shape, 10), mask)
     with pytest.raises(ad.DomainError):
         ad.token_conv(table, kernels, biases, np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
-
-
-def test_grad_embedding_accumulates_repeated_ids():
-    table = Tensor(np.ones((3, 2)), requires_grad=True)
-    ids = np.array([0, 0, 2])
-    out = sum_(ad.embedding_lookup(table, ids))
-    ad.backward(out)
-    assert np.allclose(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 def test_grad_masked_mean_and_apply_mask():
@@ -518,11 +506,11 @@ def test_borrowed_gradients_are_never_written(reverse, monkeypatch):
     # op outputs keep the first gradient they are handed without a copy;
     # here each of p, q and the table gets that gradient shared (add, twice)
     # or as a view (concat), then more contributions, which must make new
-    # arrays rather than write into the borrowed one
+    # arrays rather than write into the borrowed one (token_conv's rows too)
     rng = np.random.default_rng(30)
     x, y, w = rand(rng, 3, 2), rand(rng, 3, 2), rand(rng, 2, 2)
-    weights = [Tensor(rng.standard_normal(shape)) for shape in ((3, 2), (3, 4), (4, 2), (3, 2))]
-    ids = np.array([2, 0, 2, 1])
+    weights = [Tensor(rng.standard_normal(shape)) for shape in ((3, 2), (3, 4), (1, 4, 2), (3, 2))]
+    kernel, bias, ids = Tensor(rng.standard_normal((2, 2, 2))), Tensor(np.zeros(2)), [[2, 0, 2, 1]]
 
     def f():
         p, q = ad.sigmoid(x), ad.mul(x, y)
@@ -530,7 +518,7 @@ def test_borrowed_gradients_are_never_written(reverse, monkeypatch):
         terms = [
             sum_(ad.mul(ad.add(p, q), weights[0])),
             sum_(ad.mul(ad.concat([p, q], axis=1), weights[1])),
-            sum_(ad.mul(ad.embedding_lookup(table, ids), weights[2])),
+            sum_(ad.mul(ad.token_conv(table, [kernel], [bias], ids, np.ones((1, 4))), weights[2])),
             sum_(ad.mul(ad.add(table, q), weights[3])),
         ]
         return functools.reduce(ad.add, terms[::-1] if reverse else terms)
@@ -738,7 +726,7 @@ def test_every_public_autodiff_function_is_used_by_the_package():
             used |= _autodiff_names_used(module.read_text(encoding="utf-8"))
     public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
               if fn.__module__ == ad.__name__ and not name.startswith("_")}
-    assert "masked_softmax" in used and "conv1d" in used
+    assert "masked_softmax" in used and "token_conv" in used
     assert sorted(public - harness - used) == []
 
 

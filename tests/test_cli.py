@@ -507,6 +507,27 @@ def test_checkpoint_vocabulary_id_outside_the_table_is_runtime_error(
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("bad_id", ["1", True, 2.9], ids=["string", "bool", "float"])
+def test_checkpoint_vocabulary_id_of_another_kind_is_malformed(workspace, tmp_path, capsys, bad_id):
+    # int() would read each as an id of the table: "1" and true as 1, 2.9 as 2
+    blob = workspace["checkpoint"].read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    vocab = header["vocab"]
+    vocab[next(token for token, token_id in vocab.items() if token_id == int(bad_id))] = bad_id
+    edited = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + length:])
+    with pytest.raises(trainer.CheckpointError, match="malformed header.*integer id"):
+        load_model(bad)
+    rc = cli.main(["eval", "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 class ShortReads(io.BufferedReader):
     """Returns half of each block read, as if the file shrank after its
     size was taken."""

@@ -76,6 +76,9 @@ def test_vocab_round_trips_through_json():
     {"<pad>": 0, "<unk>": 1, "a": 1},        # two tokens share an id
     {"<pad>": 0},                            # no UNK
     {},
+    {"<pad>": 0, "<unk>": "1"},              # ids of another kind, which int() would take
+    {"<pad>": 0, "<unk>": True},
+    {"<pad>": 0, "<unk>": 1, "a": 2.9},
 ])
 def test_vocabulary_ids_must_be_exactly_0_to_size_minus_1(mapping):
     with pytest.raises(DataError, match="vocabulary"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import finite_difference_check
+from gradcheck import conv_reference, finite_difference_check
 from htcinfomax import autodiff as ad
 from htcinfomax.autodiff import Tensor
 from htcinfomax.encoders import LabelRepresentations, TextFeatures
@@ -58,6 +58,15 @@ def ragged_mask(lengths, width):
     return (np.arange(width)[None, :] < np.asarray(lengths)[:, None]).astype(float)
 
 
+def pool_text_reference(disc, feats, mask):
+    """pool_text in plain numpy: conv1 plus bias, relu, the mask, conv2 plus
+    bias at every position, then the masked mean."""
+    m = mask[:, :, None]
+    h = np.maximum(conv_reference(feats, disc.conv1_kernel.data) + disc.conv1_bias.data, 0.0) * m
+    conv = conv_reference(h, disc.conv2_kernel.data) + disc.conv2_bias.data
+    return (conv * m).sum(axis=1) / m.sum(axis=1)
+
+
 @pytest.mark.parametrize("kernel_size", [2, 3, 4])
 def test_mi_pool_text_matches_conv_then_masked_mean(kernel_size):
     # pooling before conv2 is exact: compare with conv2 run on every
@@ -65,15 +74,17 @@ def test_mi_pool_text_matches_conv_then_masked_mean(kernel_size):
     rng = np.random.default_rng(20 + kernel_size)
     disc = MIDiscriminator(5, 4, 7, rng, kernel_size=kernel_size)
     mask = ragged_mask([6, 1, 3, 5], 6)
-    feats = Tensor(rng.standard_normal((4, 6, 5)) * mask[:, :, None])
+    feats = Tensor(rng.standard_normal((4, 6, 5)) * mask[:, :, None], requires_grad=True)
     with ad.no_grad():
         pooled = disc.pool_text(feats, mask).data
-        h = ad.relu(ad.conv1d(feats, disc.conv1_kernel, disc.conv1_bias))
-        h = ad.apply_mask(h, mask)
-        conv = ad.conv1d(h, disc.conv2_kernel, disc.conv2_bias)
-        oracle = ad.masked_mean(conv, mask).data
     assert pooled.shape == (4, 7)
-    assert np.abs(pooled - oracle).max() <= 1e-12
+    assert np.abs(pooled - pool_text_reference(disc, feats.data, mask)).max() <= 1e-12
+    weights = Tensor(rng.standard_normal((4, 7)))
+    params = {"feats": feats}
+    params.update({f"mi.{name}": p for name, p in disc.named_params().items() if "conv" in name})
+    report = finite_difference_check(
+        lambda: ad.mean(ad.mul(disc.pool_text(feats, mask), weights)), params)
+    assert report.passed, report.summary()
 
 
 @pytest.mark.parametrize("kernel_size", [7, 8])
@@ -85,9 +96,22 @@ def test_mi_pool_text_kernel_more_than_twice_as_wide_as_the_batch(kernel_size):
     feats = Tensor(rng.standard_normal((2, 2, 3)) * mask[:, :, None])
     with ad.no_grad():
         pooled = disc.pool_text(feats, mask).data
-        h = ad.apply_mask(ad.relu(ad.conv1d(feats, disc.conv1_kernel, disc.conv1_bias)), mask)
-        oracle = ad.masked_mean(ad.conv1d(h, disc.conv2_kernel, disc.conv2_bias), mask).data
-    assert np.abs(pooled - oracle).max() <= 1e-12
+    assert np.abs(pooled - pool_text_reference(disc, feats.data, mask)).max() <= 1e-12
+
+
+def test_mi_pool_text_of_a_document_does_not_depend_on_its_batch_padding():
+    # conv1 reads only the unmasked rows, so the batch and each document
+    # alone run GEMMs over different row counts: they may differ by rounding
+    rng = np.random.default_rng(40)
+    disc = MIDiscriminator(5, 4, 7, rng)
+    lengths = [6, 1, 3, 4]
+    mask = ragged_mask(lengths, 9)
+    feats = rng.standard_normal((4, 9, 5)) * mask[:, :, None]
+    with ad.no_grad():
+        batched = disc.pool_text(Tensor(feats), mask).data
+        for doc, length in enumerate(lengths):
+            alone = disc.pool_text(Tensor(feats[doc:doc + 1, :length]), np.ones((1, length))).data
+            assert batched[doc] == pytest.approx(alone[0], rel=1e-12)
 
 
 def test_mi_pool_text_rejects_fully_masked_sequence():
