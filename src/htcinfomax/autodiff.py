@@ -429,30 +429,22 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _make(a.data.mean(axis=axis), (a,), back, "mean")
 
 
-def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Zero out masked positions: a[b,s,:] * mask[b,s]."""
+def _mean_weights(mask: np.ndarray) -> np.ndarray:
+    """[B, S] weights that average each sequence over its unmasked positions."""
     m = np.asarray(mask, dtype=np.float64)
-    if m.shape != a.shape[: m.ndim]:
-        raise DimensionError(f"mask shape {m.shape} does not prefix tensor shape {a.shape}")
-    mexp = m.reshape(m.shape + (1,) * (a.ndim - m.ndim))
-
-    def back(g, a=a, mexp=mexp):
-        _accum(a, g * mexp)
-
-    return _make(a.data * mexp, (a,), back, "apply_mask")
+    counts = m.sum(axis=1)
+    if np.any(counts == 0):
+        raise DomainError("mean pooling over a fully masked sequence")
+    return m / counts[:, None]
 
 
 def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
     """Mean of a[B,S,d] over axis 1 counting only mask==1 positions."""
     if a.ndim != 3:
         raise DimensionError(f"masked_mean expects a 3-D tensor, got {a.shape}")
-    m = np.asarray(mask, dtype=np.float64)
-    if m.shape != a.shape[:2]:
-        raise DimensionError(f"mask shape {m.shape} does not match {a.shape[:2]}")
-    counts = m.sum(axis=1)
-    if np.any(counts == 0):
-        raise DomainError("masked_mean over a fully masked sequence")
-    weights = m / counts[:, None]
+    if np.shape(mask) != a.shape[:2]:
+        raise DimensionError(f"mask shape {np.shape(mask)} does not match {a.shape[:2]}")
+    weights = _mean_weights(mask)
 
     def back(g, a=a, weights=weights):
         _accum(a, g[:, None, :] * weights[:, :, None])
@@ -544,7 +536,8 @@ def _occurrence_rounds(pos: np.ndarray, n: int) -> list[np.ndarray]:
 def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
                ids, mask, responses: np.ndarray | None = None) -> Tensor:
     """Parallel same-length convolutions, each plus its bias, over the table
-    rows that the unmasked positions read, concatenated on the channel axis.
+    rows that the unmasked positions read, concatenated on the channel axis;
+    zero, and passing no gradient, at the masked positions.
 
     `embedding` is any [R, C_in] table: the vocabulary embedding with `ids`
     the token ids, or a batch's features flattened to [B*S, C_in] with `ids`
@@ -602,8 +595,10 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     for kernel, bias, cols, chans, spans in branches:
         _shift_taps(out[:, :, chans], y[:, :, cols], spans, kernel.shape[2])
         out[:, :, chans] += bias.data
+    out *= valid[..., None]
 
     def back(g):        # recorded only without `responses`, where rows, x and w are bound
+        g = g * valid[..., None]
         gy = np.empty((batch, seq_len, width))
         for kernel, bias, cols, chans, spans in branches:
             _unshift_taps(gy[:, :, cols], g[:, :, chans], spans, kernel.shape[2])

@@ -78,7 +78,7 @@ def _load_config_file(path) -> dict:
     p = _require_file(path, "config file")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as err:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as err:
         raise UsageError(f"config file {p} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {p} must hold a JSON object")

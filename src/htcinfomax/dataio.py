@@ -174,11 +174,16 @@ def _is_strings(value) -> bool:
 def read_raw_corpus(path):
     """Yield (line_number, tokens, record) for each JSON-lines document.
 
-    A record must be a JSON object whose `token` field is a non-empty list
-    of strings; anything else is a DataError naming path:line.
+    A line must be UTF-8 text holding a JSON object whose `token` field is
+    a non-empty list of strings; anything else is a DataError naming
+    path:line.  Lines end at each newline.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text ({err.reason})") from None
             if not line.strip():
                 continue
             try:
@@ -250,13 +255,8 @@ def make_batches(docs: list[Document], batch_size: int, max_len: int,
     pure function of the seed.  The final partial batch is dropped only
     when `drop_partial` is set (required while the mutual information loss
     is active, which pairs each document with another in the same batch).
+    The sizes come from a `TrainConfig`, which has checked them.
     """
-    if batch_size < 1:
-        raise DataError("batch_size must be >= 1")
-    if drop_partial and batch_size < 2:
-        raise DataError("negative sampling requires batch size >= 2")
-    if max_len < 1:
-        raise DataError("max_len must be >= 1")
     target_col = tax.target_index()
     order = list(range(len(docs)))
     if shuffle_seed is not None:
@@ -267,12 +267,7 @@ def make_batches(docs: list[Document], batch_size: int, max_len: int,
         chunk = [docs[i] for i in order[start:start + batch_size]]
         if drop_partial and len(chunk) < batch_size:
             break
-        token_rows = []
-        for doc in chunk:
-            kept = list(doc.tokens[:max_len])
-            if not kept:
-                raise DataError("document with zero surviving tokens after truncation")
-            token_rows.append(kept)
+        token_rows = [doc.tokens[:max_len] for doc in chunk]
         width = max(len(r) for r in token_rows)
         ids = np.full((len(chunk), width), PAD_ID, dtype=np.int64)
         mask = np.zeros((len(chunk), width))

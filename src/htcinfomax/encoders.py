@@ -42,7 +42,7 @@ def zeros_param(shape, fill: float = 0.0) -> Tensor:
 
 @dataclass
 class TextFeatures:
-    token_feats: Tensor      # [B, S, d_t], zeroed on masked positions
+    token_feats: Tensor      # [B, S, d_t], zero on masked positions (`ad.token_conv`)
     pooled: Tensor           # [B, d_t], mask-aware mean over S
     mask: np.ndarray         # [B, S] 0/1
 
@@ -63,9 +63,6 @@ class TextEncoder:
 
     def __init__(self, vocab_size: int, embed_dim: int, feature_dim: int,
                  kernel_sizes: tuple[int, ...], rng: np.random.Generator):
-        if feature_dim % len(kernel_sizes) != 0:
-            raise ad.DimensionError(
-                f"feature_dim {feature_dim} not divisible by {len(kernel_sizes)} kernel branches")
         self.kernel_sizes = tuple(kernel_sizes)
         channels = feature_dim // len(kernel_sizes)
         self.embedding = embedding_table(rng, vocab_size, embed_dim)
@@ -88,11 +85,10 @@ class TextEncoder:
         return ad.token_responses(self.embedding, self.kernels)
 
     def __call__(self, batch: Batch, responses: np.ndarray | None = None) -> TextFeatures:
-        # Padding tokens contribute nothing to the convolutions: a document's
-        # features must not depend on how wide its batch was padded.
+        # Padding contributes nothing to the features and is zero in them: a
+        # document's features must not depend on how wide its batch was padded.
         feats = ad.relu(ad.token_conv(self.embedding, self.kernels, self.biases,
                                       batch.token_ids, batch.mask, responses))
-        feats = ad.apply_mask(feats, batch.mask)
         pooled = ad.masked_mean(feats, batch.mask)
         return TextFeatures(token_feats=feats, pooled=pooled, mask=batch.mask)
 
@@ -138,9 +134,7 @@ def multi_label_attention(tf: TextFeatures, lr: LabelRepresentations) -> LabelAw
     then a weighted sum of token features per label.
     """
     b, s, d = tf.token_feats.shape
-    n, d_y = lr.matrix.shape
-    if d != d_y:
-        raise ad.DimensionError(f"token feature width {d} != label width {d_y}")
+    n = lr.matrix.shape[0]
     flat = ad.reshape(tf.token_feats, (b * s, d))
     scores = ad.reshape(ad.matmul(flat, ad.transpose(lr.matrix, (1, 0))), (b, s, n))
     scores = ad.transpose(scores, (0, 2, 1))  # [B, N, S]

@@ -81,14 +81,14 @@ class MIDiscriminator:
     def pool_text(self, token_feats: Tensor, mask: np.ndarray) -> Tensor:
         """Conv stack plus mask-aware mean pooling: [B,S,d_t] -> [B,hidden].
 
-        Equal to masked_mean(conv2(h) + b2) with h = relu(conv1(x) + b1)
-        zeroed on padded positions, so a document's result does not depend
+        Equal to masked_mean(conv2(h) + b2) with h = relu(conv1(x) + b1),
+        zero on padded positions, so a document's result does not depend
         on how wide its batch was padded.  conv1 is a `token_conv` over the
-        rows of x with ids set to the positions; it skips the padded rows,
-        which are zero.  conv2 has no activation, so the mean is taken
-        first: tap t of conv2 sees h shifted by t - left, and the masked
-        mean of that shifted h is one row of a [k, S] weight matrix times
-        h.  The k shifted means, side by side, meet the flattened
+        rows of x with ids set to the positions: it skips the padded rows and
+        is zero there.  conv2 has no activation, so the mean is taken first:
+        tap t of conv2 sees h shifted by t - left, and the masked mean of
+        that shifted h is one row of a [k, S] weight matrix times h.  The
+        k shifted means, side by side, meet the flattened
         [k*d_t, hidden] kernel in a [B, k*d_t] GEMM instead of the
         [B*S, k*d_t] one of a convolution.
         """
@@ -96,7 +96,6 @@ class MIDiscriminator:
         rows = ad.reshape(token_feats, (batch * seq_len, channels))
         h = ad.relu(ad.token_conv(rows, [self.conv1_kernel], [self.conv1_bias],
                                   np.arange(batch * seq_len).reshape(batch, seq_len), mask))
-        h = ad.apply_mask(h, mask)
         k, _, hidden = self.conv2_kernel.shape
         shifted = ad.bmm(Tensor(_shifted_mean_weights(mask, k)), h)
         flat = ad.reshape(shifted, (batch, k * channels))
@@ -136,13 +135,9 @@ def _shifted_mean_weights(mask: np.ndarray, k: int) -> np.ndarray:
     (`ad._tap_spans`), so the tap's weight on source row j is the
     masked-mean weight of output row j - d.
     """
-    m = np.asarray(mask, dtype=np.float64)
-    counts = m.sum(axis=1)
-    if np.any(counts == 0):
-        raise ad.DomainError("mean pooling over a fully masked sequence")
-    weights = m / counts[:, None]
-    out = np.zeros((m.shape[0], k, m.shape[1]))
-    for tap, d, lo, hi in ad._tap_spans(k, m.shape[1]):
+    weights = ad._mean_weights(mask)
+    out = np.zeros((weights.shape[0], k, weights.shape[1]))
+    for tap, d, lo, hi in ad._tap_spans(k, weights.shape[1]):
         out[:, tap, lo + d:hi + d] = weights[:, lo:hi]
     return out
 

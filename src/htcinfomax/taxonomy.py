@@ -158,12 +158,17 @@ def parse_taxonomy(text: str) -> Taxonomy:
 
 def load_taxonomy(path) -> Taxonomy:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_taxonomy(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise TaxonomyError(f"taxonomy {path} is not UTF-8 text ({err.reason})") from None
+    return parse_taxonomy(text)
 
 
 def serialize_taxonomy(tax: Taxonomy) -> str:
-    """Inverse of parse_taxonomy: one line per node with children."""
-    lines = []
+    """Inverse of parse_taxonomy, ids included: each label alone on a line in
+    id order, then one line per node with children."""
+    lines = list(tax.labels)
     for node in range(tax.num_nodes):
         kids = tax.children.get(node, [])
         if kids:

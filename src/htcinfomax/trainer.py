@@ -309,6 +309,7 @@ def param_shapes(config: TrainConfig, vocab_size: int, tax: Taxonomy) -> dict[st
 
 
 ADAM_CHUNK = 32768     # values per chunk: the working set of one chunk stays in cache
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -319,14 +320,10 @@ class Adam:
     place, a chunk at a time, through the two halves of a scratch vector.
     """
 
-    def __init__(self, registry: ParamRegistry, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, registry: ParamRegistry, lr: float):
         registry.layout()
         self.registry = registry
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = _arena_zeros(registry.data.size)
         self.v = _arena_zeros(registry.data.size)
@@ -341,12 +338,12 @@ class Adam:
                 raise ad.ContractError(f"missing gradient for parameter {name!r}")
         self.registry.gradients()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         # Kingma & Ba's efficient form: with c1 = 1 - b1^t and c2 = 1 - b2^t,
         #   lr * (m / c1) / (sqrt(v / c2) + eps) = step * m / (sqrt(v) + eps_hat)
         # for step = lr * sqrt(c2) / c1 and eps_hat = eps * sqrt(c2)
         root_c2 = math.sqrt(1.0 - b2 ** self.t)
-        step, eps_hat = self.lr * root_c2 / (1.0 - b1 ** self.t), self.eps * root_c2
+        step, eps_hat = self.lr * root_c2 / (1.0 - b1 ** self.t), ADAM_EPS * root_c2
         for data, g, m, v, a, b in self._chunks:
             # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
             np.multiply(m, b1, out=m)

@@ -304,8 +304,8 @@ def test_conv1d_oracle_over_widths_and_lengths(k, batched):
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "2d"])
 @pytest.mark.parametrize("k", range(1, 5))
 def test_grad_conv1d_bias_ragged(k, batched):
-    # as the MI discriminator runs it: masked input, conv plus bias over the
-    # unmasked rows only, masked output
+    # as the MI discriminator runs it: conv plus bias over the unmasked rows
+    # only, zero at the masked positions
     rng = np.random.default_rng(200 + k)
     mask = np.array([[1.0] * 5, [1.0, 1.0, 0.0, 0.0, 0.0]])
     if not batched:
@@ -314,8 +314,7 @@ def test_grad_conv1d_bias_ragged(k, batched):
     weights = Tensor(rng.standard_normal(mask.shape + (2,)))
 
     def f():
-        out = conv1d(ad.apply_mask(x, mask), kern, bias, mask)
-        return sum_(ad.mul(ad.apply_mask(out, mask), weights))
+        return sum_(ad.mul(conv1d(x, kern, bias, mask), weights))
 
     fd(f, {"x": x, "kern": kern, "bias": bias})
 
@@ -325,10 +324,11 @@ def test_grad_conv1d_bias_ragged(k, batched):
 
 def lookup_mask_conv_concat(table, kernels, biases, ids, mask):
     """token_conv's oracle in plain numpy: look the ids up, zero the masked
-    positions, convolve with each kernel plus its bias, concatenate."""
+    positions, convolve with each kernel plus its bias, concatenate, and
+    zero the masked positions of the output."""
     x = table.data[ids] * mask[..., None]
     return np.concatenate([conv_reference(x, k.data) + b.data for k, b in zip(kernels, biases)],
-                          axis=-1)
+                          axis=-1) * mask[..., None]
 
 
 def assert_close(actual, expected):
@@ -377,6 +377,25 @@ def test_grad_token_conv(case):
     params.update({f"kernel{i}": k for i, k in enumerate(kernels)})
     params.update({f"bias{i}": b for i, b in enumerate(biases)})
     fd(lambda: sum_(ad.mul(ad.token_conv(table, kernels, biases, ids, mask), weights)), params)
+
+
+@pytest.mark.parametrize("case", ["widths-1-to-4", "one-id-everywhere"])
+def test_token_conv_is_zero_with_no_gradient_at_masked_positions(case):
+    # the op owns padding: its output is exactly 0 at masked positions on
+    # both paths, and a loss read only there gives every input zero gradient
+    table, kernels, biases, ids, mask = token_conv_inputs(case, seed=5)
+    masked = mask == 0
+    assert masked.any()
+    for given in ((), (ad.token_responses(table, kernels),)):
+        assert np.all(ad.token_conv(table, kernels, biases, ids, mask, *given).data[masked] == 0.0)
+    params = {"table": table, **{f"kernel{i}": k for i, k in enumerate(kernels)},
+              **{f"bias{i}": b for i, b in enumerate(biases)}}
+    weights = np.random.default_rng(6).standard_normal(ids.shape + (2 * len(kernels),))
+    fd(lambda: sum_(ad.mul(ad.token_conv(table, kernels, biases, ids, mask), Tensor(weights))),
+       params)
+    weights[~masked] = 0.0
+    ad.backward(sum_(ad.mul(ad.token_conv(table, kernels, biases, ids, mask), Tensor(weights))))
+    assert all(p.grad is not None and not np.any(p.grad) for p in params.values())
 
 
 def test_token_conv_writes_the_embedding_gradient_into_its_arena_block():
@@ -446,15 +465,19 @@ def test_token_conv_errors():
 
 
 def test_grad_masked_mean_and_apply_mask():
+    # masked_mean over a ragged mask; the output zeroing a separate apply_mask
+    # node once did is token_conv's own (test_token_conv_is_zero_with_no_...)
     rng = np.random.default_rng(18)
-    x = rand(rng, 2, 4, 3)
-    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    weights = rng.standard_normal((2, 3))
+    x = rand(rng, 3, 4, 3)
+    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    weights = rng.standard_normal((3, 3))
 
     def f():
-        return sum_(ad.mul(ad.masked_mean(ad.apply_mask(x, mask), mask), Tensor(weights)))
+        return sum_(ad.mul(ad.masked_mean(x, mask), Tensor(weights)))
 
     fd(f, {"x": x})
+    ad.backward(f())        # a masked position receives no gradient
+    assert np.all(x.grad[mask == 0] == 0.0)
 
 
 def test_grad_concat_splits_upstream():

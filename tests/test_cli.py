@@ -370,6 +370,33 @@ def test_eval_prints_single_json_object(workspace, tmp_path, capsys):
     assert "micro F1" in captured.err
 
 
+def test_eval_of_a_checkpoint_matches_training_when_a_later_branch_is_listed_first(
+        tmp_path, capsys):
+    # b's children come first in the file, so they take lower ids than a's;
+    # the checkpoint must keep every label name on its trained row and column
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "taxonomy.txt").write_text("Root\ta\tb\nb\tb1\tb2\na\ta1\ta2\n", encoding="utf-8")
+    rng = np.random.default_rng(0)
+    records = [{"token": [f"{leaf}w{k}" for k in rng.integers(0, 3, 6)],
+                "label": [leaf[0], leaf]} for leaf in ("a1", "a2", "b1", "b2") for _ in range(8)]
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    for split in ("train", "val"):
+        (data / f"{split}.jsonl").write_text(text, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_TRAIN_CONFIG, "epochs": 6}), encoding="utf-8")
+    assert cli.main(["train", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    last = json.loads((tmp_path / "r" / "train_log.jsonl").read_text(
+        encoding="utf-8").splitlines()[-1])
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "r" / "model.ckpt"),
+                     "--data", str(data / "val.jsonl"), "--out", str(tmp_path)]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert (metrics["micro_f1"], metrics["macro_f1"], metrics["L_c"]) == \
+        (last["micro_f1"], last["macro_f1"], last["val_L_c"])
+
+
 def test_eval_is_idempotent(workspace, tmp_path, capsys):
     args = ["eval", "--checkpoint", str(workspace["checkpoint"]),
             "--data", str(workspace["data"] / "test.jsonl"), "--out", str(tmp_path)]
@@ -718,11 +745,17 @@ def test_deeply_nested_config_file_is_usage_error(tmp_path, capsys):
     assert f"config file {cfg} is not valid JSON" in err and "Traceback" not in err
 
 
-def test_deeply_nested_corpus_line_is_data_error(workspace, tmp_path, capsys):
+def copy_data(workspace, tmp_path):
+    """A copy of the shared corpus's taxonomy and training split to corrupt."""
     data = tmp_path / "data"
     data.mkdir()
     for name in ("taxonomy.txt", "train.jsonl"):
         (data / name).write_bytes((workspace["data"] / name).read_bytes())
+    return data
+
+
+def test_deeply_nested_corpus_line_is_data_error(workspace, tmp_path, capsys):
+    data = copy_data(workspace, tmp_path)
     lines = len((data / "train.jsonl").read_text(encoding="utf-8").splitlines())
     with open(data / "train.jsonl", "a", encoding="utf-8") as fh:
         fh.write(DEEP_JSON + "\n")
@@ -751,3 +784,39 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["transmogrify"])
     assert exc.value.code == 2
+
+
+# Every input must be UTF-8 text; a byte sequence that is not gives the
+# reader's typed error, never a traceback.
+INVALID_UTF8 = b"\xff\xfe not text\n"
+
+
+def test_invalid_utf8_taxonomy_is_taxonomy_error(workspace, tmp_path, capsys):
+    data = copy_data(workspace, tmp_path)
+    (data / "taxonomy.txt").write_bytes(INVALID_UTF8)
+    rc = cli.main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"taxonomy {data / 'taxonomy.txt'} is not UTF-8" in err and "Traceback" not in err
+
+
+def test_invalid_utf8_corpus_line_is_data_error(workspace, tmp_path, capsys):
+    data = copy_data(workspace, tmp_path)
+    lines = len((data / "train.jsonl").read_text(encoding="utf-8").splitlines())
+    with open(data / "train.jsonl", "ab") as fh:
+        fh.write(INVALID_UTF8)
+    rc = cli.main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"train.jsonl:{lines + 1}: not UTF-8" in err and "Traceback" not in err
+
+
+def test_invalid_utf8_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(INVALID_UTF8)
+    rc = cli.main(["gendata", "--out", str(tmp_path / "d"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config file {cfg} is not valid JSON" in err and "Traceback" not in err

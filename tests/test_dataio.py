@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from htcinfomax import autodiff as ad
 from htcinfomax import dataio
 from htcinfomax.dataio import (
     PAD_ID,
@@ -144,6 +145,15 @@ def docs_of_lengths(lengths):
     return [Document(tokens=tuple(range(2, 2 + n)), labels=frozenset({a1})) for n in lengths]
 
 
+def test_make_batches_leaves_a_document_with_no_tokens_to_the_mean_pooling():
+    # a corpus file cannot hold one (read_raw_corpus refuses it); one built
+    # in code becomes a fully masked row, which mean pooling refuses
+    (batch,) = make_batches(docs_of_lengths([3, 0]), 2, 8, TAX)
+    assert batch.mask.sum(axis=1).tolist() == [3.0, 0.0]
+    with pytest.raises(ad.DomainError, match="fully masked"):
+        ad.masked_mean(ad.Tensor(np.zeros((2, 3, 1))), batch.mask)
+
+
 def test_make_batches_unlabeled_document_gets_zero_targets():
     docs = docs_of_lengths([2]) + [Document(tokens=(2, 3, 4), labels=frozenset())]
     (batch,) = make_batches(docs, 2, 16, TAX)
@@ -194,11 +204,6 @@ def test_make_batches_drop_partial():
     assert sum(b.size for b in full) == 5
     assert sum(b.size for b in dropped) == 4
     assert all(b.size == 2 for b in dropped)
-
-
-def test_make_batches_rejects_bad_batch_size():
-    with pytest.raises(DataError):
-        make_batches(docs_of_lengths([3]), 0, 8, TAX)
 
 
 # -- synthetic generator ----------------------------------------------------------

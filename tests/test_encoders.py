@@ -1,7 +1,6 @@
 """Text encoder, label structure encoder, and label-aware attention."""
 
 import numpy as np
-import pytest
 
 from gradcheck import finite_difference_check, sum_
 from htcinfomax import autodiff as ad
@@ -91,11 +90,6 @@ def test_text_encoder_vocabulary_table_matches_the_batch_table():
     for a, b in ((whole.token_feats, per_batch.token_feats), (whole.pooled, per_batch.pooled)):
         np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-12 * np.abs(b.data).max())
     assert enc.responses().shape == (13, (2 + 3 + 4) * 2)
-
-
-def test_text_encoder_rejects_indivisible_feature_dim():
-    with pytest.raises(ad.DimensionError):
-        make_text_encoder(feature_dim=7)
 
 
 def test_text_encoder_param_names():

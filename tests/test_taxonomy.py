@@ -56,6 +56,17 @@ def test_round_trip_serialization():
     assert again.depth == tax.depth
 
 
+def test_round_trip_keeps_ids_when_a_later_branch_is_listed_first():
+    # b's children are listed before a's, so they take the lower ids; a
+    # checkpoint's taxonomy must give every name its id back
+    tax = parse_taxonomy("Root\ta\tb\nb\tb1\tb2\na\ta1\ta2\n")
+    assert tax.labels == ["Root", "a", "b", "b1", "b2", "a1", "a2"]
+    again = parse_taxonomy(serialize_taxonomy(tax))
+    assert again.labels == tax.labels
+    assert again.children == tax.children
+    assert again.parents == tax.parents
+
+
 def test_missing_root_rejected():
     with pytest.raises(TaxonomyError, match="[Rr]oot"):
         parse_taxonomy("science\tphysics\n")

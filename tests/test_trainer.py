@@ -18,7 +18,10 @@ from htcinfomax.dataio import (ConfigError, DataError, Document, GeneratorConfig
 from htcinfomax.infomax import NumericError
 from htcinfomax.taxonomy import load_taxonomy, parse_taxonomy
 from htcinfomax.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_CHUNK,
+    ADAM_EPS,
     Adam,
     CheckpointError,
     Model,
@@ -118,8 +121,8 @@ def test_adam_matches_reference_updates_over_many_steps():
     shadow = p.data.copy()
     reg = ParamRegistry()
     reg.register("w", {"v": p})
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    opt = Adam(reg, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = 1e-2, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    opt = Adam(reg, lr=lr)
 
     m = np.zeros(5)
     v = np.zeros(5)
@@ -141,8 +144,9 @@ def test_adam_matches_textbook_formula_over_many_steps():
     p = Tensor(np.zeros((3, 4)), requires_grad=True)
     reg = ParamRegistry()
     reg.register("w", {"v": p})
-    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-    opt = Adam(reg, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)     # Kingma & Ba's defaults
+    lr, b1, b2, eps = 3e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    opt = Adam(reg, lr=lr)
     m = np.zeros((3, 4))
     v = np.zeros((3, 4))
     for t in range(1, 241):
@@ -253,7 +257,11 @@ def test_train_config_validation():
     (lambda: TrainConfig(dims=5), "train.dims"),
     (lambda: ModelDims(feature_dim=6, label_dim=8), "feature_dim == label_dim"),
     (lambda: GeneratorConfig(depth=0), "gendata.depth"),
-], ids=["clip_norm", "epochs", "seed", "dims", "feature_dim", "depth"])
+    (lambda: TrainConfig(batch_size=0), "train.batch_size"),
+    (lambda: TrainConfig(max_len=0), "train.max_len"),
+    (lambda: ModelDims(feature_dim=7, label_dim=7), "divide evenly"),
+], ids=["clip_norm", "epochs", "seed", "dims", "feature_dim", "depth", "batch_size", "max_len",
+        "kernel_split"])
 def test_settings_check_themselves_when_made(make, key):
     with pytest.raises(ConfigError, match=key):
         make()
@@ -332,8 +340,8 @@ def test_backward_writes_every_parameter_gradient_into_its_arena_view(flags):
 
 
 @pytest.mark.parametrize("flags,nodes", [
-    ({}, 113), ({"disable_mi": True}, 59), ({"disable_label_prior": True}, 76),
-    ({"disable_mi": True, "disable_label_prior": True}, 39)])
+    ({}, 111), ({"disable_mi": True}, 58), ({"disable_label_prior": True}, 74),
+    ({"disable_mi": True, "disable_label_prior": True}, 38)])
 def test_tape_nodes_per_step_are_pinned(flags, nodes):
     # one prior-discriminator pass over real and fake rows, one gate product
     model = Model(TAX, VOCAB, tiny_config(**flags))
@@ -664,7 +672,7 @@ def test_checkpoint_format_is_pinned(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, opt, epochs_completed=1, global_step=1)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "833015610b0f3ed19dee06dadf397f60a11a0868a0e95ced679b5a05d259c445"
+        "e09a05a9a2956aee263be8aa4ac26427403692b09f51b3d0d981cf00ece5e706"
 
 
 class CheckpointFile(io.BufferedReader):
