@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (DataError, TaxonomyError, CheckpointError, NumericError,
-            ad.DimensionError, ad.DomainError, ad.ContractError, OSError) as err:
+            ad.DimensionError, ad.DomainError, ad.ContractError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

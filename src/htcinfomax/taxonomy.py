@@ -95,8 +95,8 @@ def parse_taxonomy(text: str) -> Taxonomy:
             parents[ids[name]] = []
         return ids[name]
 
-    for line in text.splitlines():
-        line = line.rstrip("\n")
+    for line in text.split("\n"):      # lines end at \n only, as corpus lines do
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         names = line.split("\t")
@@ -130,6 +130,8 @@ def parse_taxonomy(text: str) -> Taxonomy:
     unreachable = [labels[i] for i in range(len(labels)) if i not in reached]
     if unreachable:
         raise TaxonomyError(f"orphan nodes not reachable from root: {', '.join(unreachable)}")
+    if not children[root]:
+        raise TaxonomyError(f"taxonomy has no label under {ROOT_TOKEN!r}")
     waiting = {node: len(ps) for node, ps in parents.items()}
     depth_of = {root: 0}
     ready = [root]
@@ -157,7 +159,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
 
 
 def load_taxonomy(path) -> Taxonomy:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as err:

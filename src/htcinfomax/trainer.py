@@ -190,17 +190,13 @@ class ParamRegistry:
                 for offset, shape in self._blocks]
 
     def gradients(self) -> np.ndarray:
-        """The flat gradient vector, after copying in any gradient a caller
-        assigned directly (`p.grad = array`) so it takes part too, and
-        zeroing the block of any parameter without one, which may still
-        hold an earlier step's values."""
+        """The flat gradient vector.  Each parameter's gradient must be its
+        arena block, where backward writes it: a missing one, or an array a
+        caller assigned directly, is a ContractError naming the parameter."""
         self.layout()
-        for p in self._params.values():
-            if p.grad is None:
-                p.grad_view.fill(0.0)
-            elif p.grad is not p.grad_view:
-                np.copyto(p.grad_view, p.grad)
-                p.grad = p.grad_view
+        for name, p in self._params.items():
+            if p.grad is not p.grad_view:
+                raise ad.ContractError(f"missing gradient for parameter {name!r}")
         return self.grad
 
 
@@ -315,9 +311,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam with bias correction and one step count `t` for all parameters.
 
-    The moments are two flat vectors laid out like the registry's arena;
-    `state[name]` holds views of them.  `step` updates the whole arena in
-    place, a chunk at a time, through the two halves of a scratch vector.
+    The moments are two flat vectors laid out like the registry's arena, so
+    `registry.views(m)` holds each parameter's block.  `step` updates the
+    arena in place, a chunk at a time, through two halves of a scratch vector.
     """
 
     def __init__(self, registry: ParamRegistry, lr: float):
@@ -327,15 +323,10 @@ class Adam:
         self.t = 0
         self.m = _arena_zeros(registry.data.size)
         self.v = _arena_zeros(registry.data.size)
-        self.state = {name: {"m": m, "v": v} for name, m, v in
-                      zip(registry.names(), registry.views(self.m), registry.views(self.v))}
         self._scratch = np.empty(2 * min(registry.data.size, ADAM_CHUNK))
         self._chunks = self._chunk_views()
 
     def step(self):
-        for name, p in self.registry.items():
-            if p.grad is None:
-                raise ad.ContractError(f"missing gradient for parameter {name!r}")
         self.registry.gradients()
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -399,7 +390,7 @@ def clip_gradients(registry: ParamRegistry, max_norm: float) -> float:
         total = float(grad @ grad)
     if not math.isfinite(total):
         for name, p in registry.items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
+            if not np.isfinite(p.grad).all():
                 raise NumericError(f"gradient of parameter {name!r} is not finite")
         raise NumericError(f"the gradients' sum of squares overflowed to {total} "
                            f"although every gradient is finite")
@@ -487,6 +478,9 @@ def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxo
         start_epoch, global_step = restore_checkpoint(resume_from, model, optimizer)
 
     mi_enabled = not config.disable_mi
+    least = config.batch_size if mi_enabled else 1      # MI trains on full batches only
+    if config.epochs > start_epoch and len(train_docs) < least:
+        raise DataError(f"one training batch needs {least} documents, got {len(train_docs)}")
     val_batches = make_batches(val_docs, config.batch_size, config.max_len, tax) if val_docs else []
     records: list[dict] = []
     epochs_completed = start_epoch
@@ -505,9 +499,8 @@ def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxo
                     on_step(bundle)
                 for key, value in bundle.to_dict().items():
                     sums[key] += value
-            steps = max(len(batches), 1)
             record = {"epoch": epoch}
-            record.update({k: v / steps for k, v in sums.items()})
+            record.update({k: v / len(batches) for k, v in sums.items()})
             if val_batches:
                 val = evaluate(val_batches, model)
                 record.update({"micro_f1": val["micro_f1"], "macro_f1": val["macro_f1"],
@@ -539,26 +532,27 @@ def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxo
 # -- persistence ----------------------------------------------------------------
 
 
-def save_checkpoint(path, model: Model, optimizer: Adam | None = None,
+def save_checkpoint(path, model: Model, optimizer: Adam,
                     epochs_completed: int = 0, global_step: int = 0):
     """Self-describing versioned binary: JSON header + little-endian doubles.
 
-    The header stores the resolved config, seed, vocabulary, serialized
-    taxonomy, parameter names/shapes, and optimizer step counts; the body
-    stores each parameter's values and, when an optimizer is given, its
-    first and second moments.
+    The header stores the resolved config with null output paths (so the
+    bytes do not depend on where they are written), seed, vocabulary,
+    serialized taxonomy, parameter names/shapes, and optimizer step counts;
+    the body stores each parameter's values, first and second moments.
     """
-    names = model.registry.names()
+    registry = model.registry
+    names = registry.names()
     header = {
         "format": "htcinfomax-checkpoint",
         "version": 1,
         "seed": model.config.seed,
-        "config": model.config.to_dict(),
+        "config": {**model.config.to_dict(), "checkpoint_path": None, "log_path": None},
         "progress": {"epochs_completed": epochs_completed, "global_step": global_step},
         "vocab": model.vocab.to_json(),
         "taxonomy": serialize_taxonomy(model.tax),
-        "params": [{"name": n, "shape": list(model.registry[n].shape)} for n in names],
-        "adam": {n: optimizer.t for n in names} if optimizer else None,
+        "params": [{"name": n, "shape": list(registry[n].shape)} for n in names],
+        "adam": {n: optimizer.t for n in names},
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
@@ -568,12 +562,10 @@ def save_checkpoint(path, model: Model, optimizer: Adam | None = None,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for name in names:
-            # each write copies nothing when the array is C-ordered little-endian float64
-            fh.write(np.ascontiguousarray(model.registry[name].data, dtype="<f8"))
-            if optimizer is not None:
-                fh.write(np.ascontiguousarray(optimizer.state[name]["m"], dtype="<f8"))
-                fh.write(np.ascontiguousarray(optimizer.state[name]["v"], dtype="<f8"))
+        for blocks in zip(*map(registry.views, (registry.data, optimizer.m, optimizer.v))):
+            for values in blocks:
+                # each write copies nothing when the array is C-ordered little-endian float64
+                fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def read_checkpoint(path, moments: bool = True) -> dict:
@@ -617,31 +609,29 @@ def _read_blocks(fh, path, moments: bool) -> dict:
         if not (isinstance(progress, dict) and _is_count(progress.get("epochs_completed"))
                 and _is_count(progress.get("global_step"))):
             raise ValueError("progress must hold two non-negative integer counts")
-        if adam is not None and not (isinstance(adam, dict) and set(adam) == set(names) and all(
+        if not (isinstance(adam, dict) and set(adam) == set(names) and all(
                 map(_is_count, adam.values())) and len(set(adam.values())) == 1):
             raise ValueError("adam must map exactly the parameter names to one step count")
     except (ValueError, AttributeError, KeyError, TypeError, RecursionError) as err:
         raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
-    blocks = 1 if adam is None else 3
     counts = [math.prod(shape) for _, shape in layout]
-    expected, actual = 8 * blocks * sum(counts), size - body_start
+    expected, actual = 3 * 8 * sum(counts), size - body_start     # values, m and v blocks
     if actual < expected:
         raise CheckpointError(f"{path} is truncated or has a corrupt header: the header "
                               f"describes {expected} body bytes, the file holds {actual}")
     if actual > expected:
         raise CheckpointError(f"{path} has {actual - expected} trailing bytes after its last block")
     stores: tuple[dict[str, np.ndarray], ...] = ({}, {}, {})
-    kept = blocks if moments else 1       # blocks read per parameter; the others are skipped
     for (name, shape), count in zip(layout, counts):
-        for store in stores[:kept]:
+        for store in stores if moments else stores[:1]:
             values = np.empty(count, dtype="<f8")
             if fh.readinto(values) != values.nbytes:
                 raise CheckpointError(f"{path} is truncated: the body ended inside "
                                       f"parameter {name!r}")
             values.flags.writeable = False
             store[name] = values.reshape(shape)
-        if kept < blocks:
-            fh.seek(8 * count * (blocks - kept), os.SEEK_CUR)
+        if not moments:
+            fh.seek(2 * 8 * count, os.SEEK_CUR)      # the two moment blocks, unread
     return {"header": header, "params": stores[0], "adam_m": stores[1], "adam_v": stores[2]}
 
 
@@ -657,21 +647,20 @@ def _check_shapes(path, data: dict, expected: dict[str, tuple[int, ...]], source
 
 
 def _apply_checkpoint(data: dict, model: Model, optimizer: Adam | None) -> tuple[int, int]:
-    """Copy what `read_checkpoint` returned into a live model (and optimizer)
-    whose shapes `_check_shapes` has matched."""
-    for name, values in data["params"].items():
-        model.registry[name].data[...] = values
-    header = data["header"]
-    if optimizer is not None and header["adam"] is not None:
-        for name, state in optimizer.state.items():
-            state["m"][...] = data["adam_m"][name]
-            state["v"][...] = data["adam_v"][name]
+    """Copy what `read_checkpoint` returned into a live model, and into its optimizer
+    unless None (`load_model`); `_check_shapes` has matched their shapes."""
+    registry, header = model.registry, data["header"]
+    flats = (registry.data,) if optimizer is None else (registry.data, optimizer.m, optimizer.v)
+    for flat, store in zip(flats, (data["params"], data["adam_m"], data["adam_v"])):
+        for name, block in zip(registry.names(), registry.views(flat)):
+            block[...] = store[name]
+    if optimizer is not None:
         optimizer.t = next(iter(header["adam"].values()))
     return header["progress"]["epochs_completed"], header["progress"]["global_step"]
 
 
-def restore_checkpoint(path, model: Model, optimizer: Adam | None = None) -> tuple[int, int]:
-    """Load parameter values (and optimizer state) into an existing model.
+def restore_checkpoint(path, model: Model, optimizer: Adam) -> tuple[int, int]:
+    """Load parameter values and optimizer state into an existing model.
 
     Returns (epochs_completed, global_step).  Name or shape disagreements
     raise CheckpointError identifying the parameter.

@@ -820,3 +820,48 @@ def test_invalid_utf8_config_file_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"config file {cfg} is not valid JSON" in err and "Traceback" not in err
+
+
+def only_error_line(err: str) -> str:
+    """The one `error:` line of stderr; nothing may be a traceback."""
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+    return line
+
+
+@pytest.mark.parametrize("train_lines,flags,message", [
+    (3, ["--batch-size", "8"], "one training batch needs 8 documents, got 3"),
+    (0, [], "one training batch needs 4 documents, got 0")], ids=["three-of-eight", "empty"])
+def test_train_without_a_training_batch_is_runtime_error(workspace, tmp_path, capsys,
+                                                           train_lines, flags, message):
+    data = copy_data(workspace, tmp_path)
+    lines = (data / "train.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (data / "train.jsonl").write_text("".join(lines[:train_lines]), encoding="utf-8")
+    out = tmp_path / "r"
+    rc = cli.main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                   "--out", str(out), *flags])
+    assert rc == 1
+    assert message in only_error_line(capsys.readouterr().err)
+    assert not (out / "model.ckpt").exists() and not (out / "train_log.jsonl").exists()
+
+
+@pytest.mark.parametrize("text", ["Root\n", "Root\t\n"], ids=["bare", "empty-child"])
+def test_taxonomy_without_a_label_is_taxonomy_error(workspace, tmp_path, capsys, text):
+    data = copy_data(workspace, tmp_path)
+    (data / "taxonomy.txt").write_text(text, encoding="utf-8")
+    rc = cli.main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "taxonomy has no label under 'Root'" in only_error_line(capsys.readouterr().err)
+
+
+def test_out_of_memory_is_runtime_error(workspace, tmp_path, capsys, monkeypatch):
+    # raised, not provoked: a real huge allocation may succeed under overcommit
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_training", allocate)
+    rc = cli.main(["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "Unable to allocate 14.6 TiB" in only_error_line(capsys.readouterr().err)

@@ -169,3 +169,33 @@ def test_load_taxonomy_reads_file(tmp_path):
     path.write_text(SAMPLE, encoding="utf-8")
     tax = tx.load_taxonomy(path)
     assert tax.num_nodes == 6
+
+
+@pytest.mark.parametrize("text", ["Root\n", "Root\t\n"], ids=["bare", "empty-child"])
+def test_root_without_a_label_rejected(text):
+    with pytest.raises(TaxonomyError, match="taxonomy has no label under 'Root'"):
+        parse_taxonomy(text)
+
+
+def test_lines_end_at_newline_only():
+    # str.splitlines would also break at \x0b, giving Root -> a -> b
+    tax = parse_taxonomy("Root\ta\x0ba\tb\n")
+    assert tax.labels == ["Root", "a\x0ba", "b"]
+    assert tax.children[tax.root] == [1, 2]
+
+
+def test_crlf_file_parses_like_its_lf_twin(tmp_path):
+    (tmp_path / "lf.txt").write_bytes(SAMPLE.encode("utf-8"))
+    (tmp_path / "crlf.txt").write_bytes(SAMPLE.replace("\n", "\r\n").encode("utf-8"))
+    lf, crlf = (tx.load_taxonomy(tmp_path / name) for name in ("lf.txt", "crlf.txt"))
+    assert crlf == lf
+    # a lone \r is part of a label, not a line break
+    (tmp_path / "cr.txt").write_bytes(b"Root\ta\rb\r\n")
+    assert tx.load_taxonomy(tmp_path / "cr.txt").labels == ["Root", "a\rb"]
+
+
+def test_label_holding_a_unicode_line_break_round_trips_with_its_id():
+    tax = parse_taxonomy("Root\ta\x85b\tc\na\x85b\td\n")
+    again = parse_taxonomy(serialize_taxonomy(tax))
+    assert again.labels == tax.labels == ["Root", "a\x85b", "c", "d"]
+    assert again.children == tax.children

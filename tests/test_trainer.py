@@ -103,12 +103,19 @@ def test_model_registry_reflects_ablation_flags():
 # -- optimizer ---------------------------------------------------------------------
 
 
+def give_grad(reg, p, g):
+    """Give `p` the gradient `g` where backward writes it: its arena block."""
+    reg.layout()
+    np.copyto(p.grad_view, g)
+    p.grad = p.grad_view
+
+
 def test_adam_first_step_magnitude():
     p = Tensor(np.array([1.0]), requires_grad=True)
     reg = ParamRegistry()
     reg.register("only", {"p": p})
     opt = Adam(reg, lr=1e-3)
-    p.grad = np.array([1.0])
+    give_grad(reg, p, [1.0])
     opt.step()
     # t=1: m_hat=g, v_hat=g^2 -> step = lr * g/(|g| + eps)
     assert p.data[0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
@@ -128,7 +135,7 @@ def test_adam_matches_reference_updates_over_many_steps():
     v = np.zeros(5)
     for t in range(1, 25):
         g = rng.standard_normal(5)
-        p.grad = g.copy()
+        give_grad(reg, p, g)
         opt.step()
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -153,7 +160,7 @@ def test_adam_matches_textbook_formula_over_many_steps():
         g = rng.standard_normal((3, 4)) * rng.choice([1e-3, 1.0, 50.0])
         g[:, -1] = rng.standard_normal(3) * 1e-13
         p.data[...] = 0.0
-        p.grad = g.copy()
+        give_grad(reg, p, g)
         opt.step()
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * (g * g)
@@ -175,11 +182,11 @@ def test_adam_missing_gradient_moves_no_parameter():
     reg = ParamRegistry()
     reg.register("w", {"first": first, "second": Tensor(np.ones(3), requires_grad=True)})
     opt = Adam(reg, lr=1e-3)
-    first.grad = np.ones(2)
+    give_grad(reg, first, np.ones(2))
     with pytest.raises(ad.ContractError, match="w.second"):
         opt.step()
     assert np.array_equal(first.data, np.ones(2))
-    assert opt.t == 0 and not opt.state["w.first"]["m"].any()
+    assert opt.t == 0 and not opt.m.any()
 
 
 def test_clip_gradients_scales_to_max_norm():
@@ -187,8 +194,8 @@ def test_clip_gradients_scales_to_max_norm():
     a = Tensor(np.zeros(3), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
     reg.register("g", {"a": a, "b": b})
-    a.grad = np.full(3, 3.0)
-    b.grad = np.full(4, 4.0)
+    give_grad(reg, a, np.full(3, 3.0))
+    give_grad(reg, b, np.full(4, 4.0))
     norm = clip_gradients(reg, 5.0)
     assert norm == pytest.approx(np.sqrt(27 + 64))
     total = np.sqrt((a.grad ** 2).sum() + (b.grad ** 2).sum())
@@ -199,32 +206,23 @@ def test_clip_gradients_leaves_small_norms_alone():
     reg = ParamRegistry()
     a = Tensor(np.zeros(2), requires_grad=True)
     reg.register("g", {"a": a})
-    a.grad = np.array([0.3, 0.4])
+    give_grad(reg, a, [0.3, 0.4])
     norm = clip_gradients(reg, 5.0)
     assert norm == pytest.approx(0.5)
     assert np.allclose(a.grad, [0.3, 0.4])
 
 
-def test_clip_norm_is_the_per_parameter_sum_and_ignores_stale_blocks():
+def test_clip_norm_is_the_per_parameter_sum():
     rng = np.random.default_rng(3)
     reg = ParamRegistry()
     params = {name: Tensor(np.zeros(shape), requires_grad=True)
               for name, shape in (("a", (3, 5)), ("b", (7,)), ("c", (2, 2, 3)))}
     reg.register("g", params)
     for name, p in params.items():
-        p.grad = rng.standard_normal(p.shape)
+        give_grad(reg, p, rng.standard_normal(p.shape))
     expected = np.sqrt(sum(float(p.grad.reshape(-1) @ p.grad.reshape(-1))
                            for p in params.values()))
     assert clip_gradients(reg, 0.0) == pytest.approx(expected, rel=1e-12)
-    # the next step leaves "b" without a gradient; its block keeps the last values
-    reg.zero_grad()
-    params["a"].grad = rng.standard_normal((3, 5))
-    params["c"].grad = rng.standard_normal((2, 2, 3))
-    assert reg.views(reg.grad)[1].any()
-    expected = np.sqrt(sum(float(params[n].grad.reshape(-1) @ params[n].grad.reshape(-1))
-                           for n in ("a", "c")))
-    assert clip_gradients(reg, 0.0) == pytest.approx(expected, rel=1e-12)
-    assert params["b"].grad is None and not reg.views(reg.grad)[1].any()
 
 
 # -- config ------------------------------------------------------------------------
@@ -364,23 +362,28 @@ def test_registry_layout_is_final_and_exclusive():
         Adam(other, 1e-3)
 
 
-def test_directly_assigned_gradients_take_part_in_clipping_and_adam():
-    (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
-    runs = []
-    for assign in (False, True):
-        model = Model(TAX, VOCAB, tiny_config())
-        opt = Adam(model.registry, 1e-2)
-        total, _ = model.losses(batch, prior_seed=0)
-        ad.backward(total)
-        if assign:
-            for _, p in model.registry.items():
-                p.grad = p.grad * 1.0         # a fresh array, outside the arena
-        norm = clip_gradients(model.registry, 0.1)
-        opt.step()
-        runs.append((norm, [p.data.copy() for _, p in model.registry.items()]))
-    (arena_norm, arena), (assigned_norm, assigned) = runs
-    assert arena_norm == assigned_norm > 0.1
-    assert all(np.array_equal(a, b) for a, b in zip(arena, assigned))
+@pytest.mark.parametrize("update", ["clip", "adam"])
+@pytest.mark.parametrize("gradient", ["assigned", "missing"])
+def test_gradient_outside_its_arena_block_is_refused(update, gradient):
+    model = Model(TAX, VOCAB, tiny_config())
+    opt = Adam(model.registry, 1e-2)
+    batches = make_batches(tiny_docs(4), 2, 8, TAX)
+    train_step(batches[0], model, opt, global_step=0)      # so the moments are not zero
+    total, _ = model.losses(batches[1], prior_seed=1)
+    model.registry.zero_grad()
+    ad.backward(total)
+    head = model.registry["head.weight"]
+    # an array a caller assigned directly (a fresh one, outside the arena), or none at all
+    head.grad = head.grad * 1.0 if gradient == "assigned" else None
+    state = lambda: [a.copy() for a in (model.registry.data, model.registry.grad, opt.m, opt.v)]
+    before = state()
+    with pytest.raises(ad.ContractError, match="missing gradient for parameter 'head.weight'"):
+        if update == "clip":
+            clip_gradients(model.registry, 0.1)
+        else:
+            opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(a, b) for a, b in zip(before, state()))
 
 
 @pytest.mark.parametrize("poison,message", [
@@ -588,6 +591,12 @@ def test_param_shapes_match_the_registry(flags, kernels):
 # -- checkpointing -----------------------------------------------------------------
 
 
+def save_fresh(path, model=None):
+    """Checkpoint `model` (the tiny full model by default) with a fresh optimizer."""
+    model = model or Model(TAX, VOCAB, tiny_config())
+    save_checkpoint(path, model, Adam(model.registry, 1e-2))
+
+
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     opt = Adam(model.registry, 1e-2)
@@ -620,21 +629,33 @@ def test_checkpoint_restores_values_and_adam_state(tmp_path):
     restore_checkpoint(path, fresh, fresh_opt)
     for name, p in model.registry.items():
         assert np.array_equal(p.data, fresh.registry[name].data)
-        assert np.array_equal(opt.state[name]["m"], fresh_opt.state[name]["m"])
-        assert np.array_equal(opt.state[name]["v"], fresh_opt.state[name]["v"])
+    assert np.array_equal(opt.m, fresh_opt.m) and np.array_equal(opt.v, fresh_opt.v)
+    assert opt.m.any() and opt.v.any()
     assert fresh_opt.t == opt.t == 2
 
 
 def test_load_model_rebuilds_from_header_alone(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_fresh(path, model)
     again = load_model(path)
     assert again.config == model.config
     assert again.tax.labels == model.tax.labels
     assert again.vocab.token_to_id == model.vocab.token_to_id
     for name, p in model.registry.items():
         assert np.array_equal(p.data, again.registry[name].data)
+
+
+def test_checkpoint_bytes_do_not_depend_on_where_the_run_writes(tmp_path):
+    blobs = []
+    for name in ("x", "yy"):
+        config = tiny_config(checkpoint_path=str(tmp_path / f"{name}.ckpt"),
+                             log_path=str(tmp_path / f"{name}.jsonl"))
+        run_training(tiny_docs(6), [], TAX, VOCAB, config)
+        blobs.append((tmp_path / f"{name}.ckpt").read_bytes())
+    assert blobs[0] == blobs[1]
+    config = load_model(tmp_path / "x.ckpt").config      # the run manifest records the paths
+    assert config.checkpoint_path is None and config.log_path is None
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
@@ -647,7 +668,7 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
 def test_checkpoint_truncation_rejected(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_fresh(path, model)
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) - 64])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -656,7 +677,7 @@ def test_checkpoint_truncation_rejected(tmp_path):
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+    save_fresh(path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(CheckpointError, match="8 trailing bytes"):
         read_checkpoint(path)
@@ -667,7 +688,7 @@ def test_checkpoint_format_is_pinned(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     opt = Adam(model.registry, 1e-2)
     for _, p in model.registry.items():
-        p.grad = np.full(p.shape, 0.25)
+        give_grad(model.registry, p, 0.25)
     opt.step()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, opt, epochs_completed=1, global_step=1)
@@ -712,9 +733,10 @@ def test_checkpoint_is_read_once_into_read_only_views(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, opt)
     data = read_checkpoint(path)
-    for name, p in model.registry.items():
-        for store, live in ((data["params"], p.data), (data["adam_m"], opt.state[name]["m"]),
-                            (data["adam_v"], opt.state[name]["v"])):
+    reg = model.registry
+    for key, flat in (("params", reg.data), ("adam_m", opt.m), ("adam_v", opt.v)):
+        for name, live in zip(reg.names(), reg.views(flat)):
+            store = data[key]
             assert np.array_equal(store[name], live) and not store[name].flags.writeable
     (header_length,) = struct.unpack("<Q", path.read_bytes()[8:16])
     param_bytes = sum(8 * p.data.size for _, p in model.registry.items())
@@ -768,7 +790,7 @@ def _rewrite_header(path, edit):
 
 def test_checkpoint_corrupt_header_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+    save_fresh(path)
     _rewrite_header(path, lambda header: header[:-7])
     with pytest.raises(CheckpointError, match="corrupt header"):
         read_checkpoint(path)
@@ -778,7 +800,7 @@ def test_checkpoint_corrupt_header_rejected(tmp_path):
 
 def test_checkpoint_malformed_config_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+    save_fresh(path)
 
     def bad_dims(header):
         parsed = json.loads(header)
@@ -793,7 +815,7 @@ def test_checkpoint_malformed_config_rejected(tmp_path):
 def test_load_model_compares_shapes_before_building_the_model(tmp_path, monkeypatch):
     # a header whose widths would allocate gigabytes, over a tiny body
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+    save_fresh(path)
 
     def huge(header):
         parsed = json.loads(header)
@@ -812,7 +834,7 @@ def test_load_model_compares_shapes_before_building_the_model(tmp_path, monkeypa
                                        ("disable_mi", "no"), ("hidden", 4)])
 def test_checkpoint_config_of_wrong_kind_rejected(tmp_path, key, value):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+    save_fresh(path)
 
     def edit(header):
         parsed = json.loads(header)
@@ -827,7 +849,7 @@ def test_checkpoint_config_of_wrong_kind_rejected(tmp_path, key, value):
 def test_checkpoint_config_with_negative_clip_norm_rejected(tmp_path):
     # a negative clip_norm would silently turn clipping off
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, Model(TAX, VOCAB, tiny_config()))
+    save_fresh(path)
 
     def edit(header):
         parsed = json.loads(header)
@@ -844,6 +866,7 @@ HOSTILE_HEADER_EDITS = {
     "progress-missing-step": lambda h: h.update(progress={"epochs_completed": 1}),
     "progress-negative": lambda h: h["progress"].update(epochs_completed=-1),
     "adam-not-object": lambda h: h.update(adam=5),
+    "adam-null": lambda h: h.update(adam=None),
     "adam-other-names": lambda h: h.update(adam={"text.embedding": 0}),
     "adam-two-counts": lambda h: h["adam"].update({h["params"][0]["name"]: 2}),
 }
@@ -870,21 +893,21 @@ def test_checkpoint_malformed_progress_or_adam_rejected(tmp_path, case):
 def test_checkpoint_architecture_mismatch_names_parameter(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_fresh(path, model)
     other = Model(TAX, VOCAB, tiny_config(disable_mi=True))
     with pytest.raises(CheckpointError, match=r"parameter 'mi\.conv1\.kernel' of shape None"):
-        restore_checkpoint(path, other)
+        restore_checkpoint(path, other, Adam(other.registry, 1e-2))
 
 
 def test_checkpoint_shape_mismatch_names_parameter(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_fresh(path, model)
     bigger = Model(TAX, VOCAB, tiny_config(dims=ModelDims(
         embed_dim=8, feature_dim=6, label_dim=6, mi_hidden=4,
         prior_hidden=(5, 3), text_kernels=(2, 3, 4))))
     with pytest.raises(CheckpointError, match=r"parameter 'text\.embedding' of shape \(10, 8\)"):
-        restore_checkpoint(path, bigger)
+        restore_checkpoint(path, bigger, Adam(bigger.registry, 1e-2))
 
 
 # -- training loop -----------------------------------------------------------------
@@ -940,6 +963,24 @@ def test_run_training_rejects_unlabeled_documents():
         run_training(tiny_docs(4) + [unlabeled], [], TAX, VOCAB, tiny_config())
     with pytest.raises(DataError, match="empty label set"):
         run_training(tiny_docs(4), [unlabeled], TAX, VOCAB, tiny_config())
+
+
+@pytest.mark.parametrize("flags,docs,least", [
+    ({"batch_size": 4}, 3, 4), ({}, 0, 2), ({"disable_mi": True}, 0, 1)])
+def test_run_training_without_a_training_batch_is_refused(tmp_path, flags, docs, least):
+    # with MI on, only full batches train; an epoch of no step would log zero losses
+    config = tiny_config(**flags, checkpoint_path=str(tmp_path / "m.ckpt"),
+                         log_path=str(tmp_path / "log.jsonl"))
+    with pytest.raises(DataError, match=f"needs {least} documents, got {docs}"):
+        run_training(tiny_docs(docs), tiny_docs(4, rng_seed=9), TAX, VOCAB, config)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_training_of_no_epoch_needs_no_training_batch(tmp_path):
+    config = tiny_config(epochs=0, checkpoint_path=str(tmp_path / "m.ckpt"))
+    result = run_training([], [], TAX, VOCAB, config)
+    assert result.epochs_completed == 0 and result.records == []
+    assert (tmp_path / "m.ckpt").is_file()
 
 
 def test_stop_when_halts_early(tmp_path):
