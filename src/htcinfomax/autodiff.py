@@ -14,7 +14,9 @@ Gradient ownership: a parameter's first gradient is copied into its arena
 block, any other leaf's into an array of its own.  An op output keeps the
 first one it is handed, which may be shared, a view or read-only; so no
 closure writes into its `g`, and a later contribution is summed in place
-only into an arena block (elsewhere `grad = grad + g`).
+only into an arena block (elsewhere `grad = grad + g`).  `backward`
+releases each op output once its closure has run, so after the pass only
+leaves hold gradients, and the graph cannot be differentiated twice.
 """
 
 from __future__ import annotations
@@ -159,19 +161,30 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g):
+    raise ContractError("backward reached an op output that an earlier backward released; "
+                        "record the graph again to differentiate it again")
+
+
 def backward(loss: Tensor):
-    """Populate `grad` on every tensor that `loss` depends on.
+    """Fill `grad` on every leaf that `loss` depends on.
 
     The loss must be a scalar; each recorded op's backward closure runs
-    exactly once.
+    exactly once.  Each op output is released as soon as its closure has
+    run: its `grad` and `_parents` are dropped, so the step's activations
+    and their gradients are freed as the pass walks back, and a later
+    backward that reaches it raises ContractError.  Leaves, parameters
+    included, keep their gradients.
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    order = topo_order(loss)
+    tape = topo_order(loss)
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
+    while tape:
+        node = tape.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _released
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -464,24 +477,30 @@ def _tap_spans(k: int, seq_len: int) -> list[tuple[int, int, int, int]]:
             for t in range(k)]
 
 
-def _shift_taps(out: np.ndarray, y: np.ndarray, spans, c_out: int):
-    """out[:, s] = the sum over taps t of y[:, s + d, block t] (blocks of c_out
-    columns, one per tap), the centre tap first."""
+def _shift_taps(out: np.ndarray, table: np.ndarray, pos: np.ndarray, col: int, spans, c_out: int):
+    """out[:, s] = the sum over taps t of block t (c_out columns from `col`,
+    one block per tap) of the table row that position s + d reads, the
+    centre tap first."""
     left = (len(spans) - 1) // 2
-    out[...] = y[:, :, left * c_out:(left + 1) * c_out]
+    out[...] = table[pos, col + left * c_out:col + (left + 1) * c_out]
     for t, d, lo, hi in spans:
         if d:
-            out[:, lo:hi] += y[:, lo + d:hi + d, t * c_out:(t + 1) * c_out]
+            out[:, lo:hi] += table[pos[:, lo + d:hi + d], col + t * c_out:col + (t + 1) * c_out]
 
 
-def _unshift_taps(gy: np.ndarray, g: np.ndarray, spans, c_out: int):
-    """The adjoint of `_shift_taps`: gy[:, s + d, block t] = g[:, s], and zero
-    where no output row reads."""
-    for t, d, lo, hi in spans:
-        block = slice(t * c_out, (t + 1) * c_out)
-        gy[:, :lo + d, block] = 0.0
-        gy[:, lo + d:hi + d, block] = g[:, lo:hi]
-        gy[:, hi + d:, block] = 0.0
+def _unshift_taps(out: np.ndarray, gz: np.ndarray, at: np.ndarray, seq_len: int, branches):
+    """The adjoint of `_shift_taps` at the flat positions `at` (b*S + s):
+    out[j, block t] = the gradient of the output row that reads at[j]
+    through tap t, and zero where no output row does.  `gz` is the output
+    gradient as [B*S + 1, C] rows, the last one zero."""
+    s, none, src = at % seq_len, gz.shape[0] - 1, {}     # src: per shift d, the rows of gz
+    for kernel, _, cols, chans, spans in branches:
+        c_out = kernel.shape[2]
+        for t, d, lo, hi in spans:
+            if d not in src:
+                src[d] = np.where((s >= lo + d) & (s < hi + d), at - d, none)
+            out[:, cols.start + t * c_out:cols.start + (t + 1) * c_out] = gz[src[d], chans]
+    return out
 
 
 def _check_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> int:
@@ -521,16 +540,17 @@ def token_responses(embedding: Tensor, kernels: Sequence[Tensor]) -> np.ndarray:
     return _response_table(embedding.data, _stacked_taps(kernels))
 
 
-def _occurrence_rounds(pos: np.ndarray, n: int) -> list[np.ndarray]:
+def _occurrence_rounds(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The indices i with pos[i] < n, in rounds within which no value of pos
-    repeats: round j holds each value's (j+1)-th occurrence."""
+    repeats: round j holds each value's (j+1)-th occurrence, in value order.
+    Returns the indices round after round, and each round's size."""
     order = np.argsort(pos, kind="stable")[:np.count_nonzero(pos < n)]
     ranked = pos[order]
     first = np.ones(order.size, dtype=bool)
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
     at = np.arange(order.size)
     rank = at - np.maximum.accumulate(np.where(first, at, 0))
-    return [order[rank == j] for j in range(rank.max(initial=-1) + 1)]
+    return order[np.argsort(rank, kind="stable")], np.bincount(rank)
 
 
 def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
@@ -572,7 +592,8 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     _check_ids(ids, vocab)
     if responses is None:
         rows, inverse = np.unique(ids[valid], return_inverse=True)
-        x = embedding.data[rows]
+        whole = rows.size == vocab         # then rows is every row: no copy of them
+        x = embedding.data if whole else embedding.data[rows]
         w = _stacked_taps(kernels)
         table = _response_table(x, w)
         pos = np.full(ids.shape, rows.size)
@@ -583,8 +604,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
             raise DimensionError(f"token_conv: responses {responses.shape} do not cover "
                                  f"{vocab} rows of {width} columns")
         table, pos, parents = responses, np.where(valid, ids, vocab), ()
-    y = table[pos]
-    branches = []       # (kernel, bias, its columns of y, its output channels, tap spans)
+    branches = []       # (kernel, bias, its table columns, its output channels, tap spans)
     col = chan = 0
     for kernel, bias in zip(kernels, biases):
         k, _, c_out = kernel.shape
@@ -593,31 +613,37 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         col, chan = col + k * c_out, chan + c_out
     out = np.empty((batch, seq_len, chan))
     for kernel, bias, cols, chans, spans in branches:
-        _shift_taps(out[:, :, chans], y[:, :, cols], spans, kernel.shape[2])
+        _shift_taps(out[:, :, chans], table, pos, cols.start, spans, kernel.shape[2])
         out[:, :, chans] += bias.data
     out *= valid[..., None]
 
     def back(g):        # recorded only without `responses`, where rows, x and w are bound
-        g = g * valid[..., None]
-        gy = np.empty((batch, seq_len, width))
+        gz = np.empty((batch * seq_len + 1, chan))
+        gz[-1] = 0.0
+        gm = gz[:-1].reshape(batch, seq_len, chan)
+        np.multiply(g, valid[..., None], out=gm)
         for kernel, bias, cols, chans, spans in branches:
-            _unshift_taps(gy[:, :, cols], g[:, :, chans], spans, kernel.shape[2])
-            _accum(bias, g[:, :, chans].sum(axis=(0, 1)))
-        # sum per distinct row, in rounds that each write distinct rows; the
-        # first round holds every row once, in row order, so it is a gather
-        # (there is no round when every position is masked)
-        gy, flat = gy.reshape(batch * seq_len, -1), pos.reshape(-1)
-        first, *later = _occurrence_rounds(flat, rows.size) or [flat[:0]]
-        dr = gy[first]
-        for sel in later:
-            dr[flat[sel]] += gy[sel]
+            _accum(bias, gm[:, :, chans].sum(axis=(0, 1)))
+        # sum per distinct row, in rounds that each write distinct rows: one
+        # gradient row per unmasked position, round after round; the first
+        # round holds every row once, in row order, so it is dR itself
+        flat = pos.reshape(-1)
+        at, sizes = _occurrence_rounds(flat, rows.size)
+        dy = _unshift_taps(np.empty((at.size, width)), gz, at, seq_len, branches)
+        dr, lo = dy[:rows.size], rows.size
+        for n in sizes[1:]:
+            dr[flat[at[lo:lo + n]]] += dy[lo:lo + n]
+            lo += n
         if any(kernel.requires_grad for kernel, *_ in branches):
             dw = x.T @ dr
             for kernel, _, cols, _, _ in branches:
                 k, c_in, c_out = kernel.shape
                 _accum(kernel, dw[:, cols].reshape(c_in, k, c_out).transpose(1, 0, 2))
         if embedding.requires_grad:
-            _row_grad(embedding)[rows] += dr @ w.T
+            if whole:
+                _accum(embedding, dr @ w.T)
+            else:
+                _row_grad(embedding)[rows] += dr @ w.T
 
     return _make(out, parents, back, "token_conv")
 

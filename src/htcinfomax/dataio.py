@@ -10,6 +10,7 @@ imbalance through power-law leaf sampling.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 import zlib
@@ -133,11 +134,8 @@ class Vocabulary:
     def __len__(self):
         return len(self.token_to_id)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def encode(self, tokens) -> tuple[int, ...]:
-        return tuple(self.lookup(t) for t in tokens)
+        return tuple(map(self.token_to_id.get, tokens, itertools.repeat(UNK_ID)))
 
     def to_json(self) -> dict:
         return dict(self.token_to_id)

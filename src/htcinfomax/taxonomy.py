@@ -168,13 +168,25 @@ def load_taxonomy(path) -> Taxonomy:
 
 
 def serialize_taxonomy(tax: Taxonomy) -> str:
-    """Inverse of parse_taxonomy, ids included: each label alone on a line in
-    id order, then one line per node with children."""
+    """Inverse of parse_taxonomy, ids and the order of each node's children
+    and parents included: each label alone on a line in id order, then
+    passes over the nodes in id order, each writing a node's next children
+    up to the first whose earlier parents are unwritten (a tree: one line
+    per node with children).  Each pass writes the earliest unwritten edge
+    of the parsed file, so the passes end."""
     lines = list(tax.labels)
-    for node in range(tax.num_nodes):
-        kids = tax.children.get(node, [])
-        if kids:
-            lines.append("\t".join([tax.labels[node]] + [tax.labels[c] for c in kids]))
+    kids_done = dict.fromkeys(range(tax.num_nodes), 0)
+    parents_done = dict.fromkeys(range(tax.num_nodes), 0)
+    while any(kids_done[node] < len(kids) for node, kids in tax.children.items()):
+        for node in range(tax.num_nodes):
+            kids = tax.children.get(node, [])
+            start = end = kids_done[node]
+            while end < len(kids) and tax.parents[kids[end]][parents_done[kids[end]]] == node:
+                parents_done[kids[end]] += 1
+                end += 1
+            if end > start:
+                lines.append("\t".join([tax.labels[node]] + [tax.labels[c] for c in kids[start:end]]))
+                kids_done[node] = end
     return "\n".join(lines) + "\n"
 
 

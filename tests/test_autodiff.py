@@ -443,9 +443,10 @@ def test_token_conv_records_no_graph_from_a_response_table():
 
 def test_token_conv_rounds_add_each_position_once():
     pos = np.array([4, 1, 4, 9, 4, 1, 0, 9])      # 9 marks a masked position
-    rounds = ad._occurrence_rounds(pos, 9)
-    assert [r.tolist() for r in rounds] == [[6, 1, 0], [5, 2], [4]]
-    assert ad._occurrence_rounds(np.array([9, 9]), 9) == []
+    at, sizes = ad._occurrence_rounds(pos, 9)
+    assert at.tolist() == [6, 1, 0, 5, 2, 4] and sizes.tolist() == [3, 2, 1]
+    at, sizes = ad._occurrence_rounds(np.array([9, 9]), 9)
+    assert at.size == 0 and sizes.size == 0
 
 
 def test_token_conv_errors():
@@ -560,12 +561,50 @@ def test_borrowed_gradients_are_never_written(reverse, monkeypatch):
     assert all(np.array_equal(g, before) for g, before in borrowed)
 
 
-def test_op_outputs_borrow_their_first_gradient():
+def test_op_outputs_borrow_their_first_gradient(monkeypatch):
+    # backward releases a and b once their closures ran, so the gradient
+    # each is handed is recorded as it arrives
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     a, b = ad.mul(x, 2.0), ad.mul(x, 3.0)
+    handed = {}
+    accum = ad._accum
+
+    def recording_accum(t, g):
+        if t is a or t is b:
+            handed[id(t)] = g
+        accum(t, g)
+
+    monkeypatch.setattr(ad, "_accum", recording_accum)
     ad.backward(sum_(ad.mul(ad.add(a, b), Tensor(np.full((2, 3), 5.0)))))
-    assert a.grad is b.grad
+    assert handed[id(a)] is handed[id(b)]
     assert np.array_equal(x.grad, np.full((2, 3), 25.0))
+
+
+def test_backward_releases_op_outputs_and_keeps_leaf_gradients():
+    rng = np.random.default_rng(31)
+    x, w = rand(rng, 3, 2), rand(rng, 2, 2)
+    const = Tensor(rng.standard_normal((3, 2)))
+    loss = sum_(ad.mul(ad.add(ad.sigmoid(ad.matmul(x, w)), const), ad.relu(x)))
+    nodes = ad.topo_order(loss)
+    ops = [n for n in nodes if n._backward is not None]
+    leaves = [n for n in nodes if n._backward is None and n.requires_grad]
+    assert len(ops) == 6 and {id(n) for n in leaves} == {id(x), id(w)}
+    ad.backward(loss)
+    assert all(n.grad is None and n._parents == () for n in ops)
+    assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
+    assert const.grad is None
+
+
+def test_a_second_backward_through_a_released_node_is_refused():
+    # without the refusal, h's stale gradient from the first loss would be
+    # reused and x.grad would miss the second loss's part
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    h = ad.mean(ad.mul(x, x))
+    ad.backward(h)
+    with pytest.raises(ad.ContractError, match="released"):
+        ad.backward(ad.mul(h, 2.0))
+    with pytest.raises(ad.ContractError, match="released"):
+        ad.backward(h)
 
 
 def test_topo_order_visits_each_node_once():

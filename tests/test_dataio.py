@@ -59,10 +59,8 @@ def test_derived_rng_distinguishes_string_keys():
 def test_build_vocab_orders_by_frequency_then_token():
     docs = [["b", "a", "a"], ["c", "a", "b"]]
     vocab = build_vocab(docs)
-    assert vocab.lookup("a") == 2  # after PAD and UNK
-    assert vocab.lookup("b") == 3
-    assert vocab.lookup("c") == 4
-    assert vocab.lookup("zzz") == UNK_ID
+    assert vocab.encode(["a", "b", "c", "zzz"]) == (2, 3, 4, UNK_ID)  # after PAD and UNK
+    assert vocab.encode(iter(["zzz", "a"])) == (UNK_ID, 2)
 
 
 def test_vocab_round_trips_through_json():
@@ -96,7 +94,7 @@ def test_load_corpus_maps_tokens_and_labels(tmp_path):
     vocab = build_vocab([["hello", "world"]])
     docs = load_corpus(path, vocab, TAX)
     assert len(docs) == 1
-    assert docs[0].tokens == (vocab.lookup("hello"), vocab.lookup("world"))
+    assert docs[0].tokens == (vocab.token_to_id["hello"], vocab.token_to_id["world"])
     assert docs[0].labels == frozenset({TAX.id_of("a"), TAX.id_of("a1")})
 
 

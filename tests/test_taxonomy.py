@@ -58,13 +58,18 @@ def test_round_trip_serialization():
 
 def test_round_trip_keeps_ids_when_a_later_branch_is_listed_first():
     # b's children are listed before a's, so they take the lower ids; a
-    # checkpoint's taxonomy must give every name its id back
+    # checkpoint's taxonomy must give every name its id back.  In the DAG,
+    # c's line under b comes first, so b is c's first parent (the one
+    # path_to_root follows) although a has the lower id
     tax = parse_taxonomy("Root\ta\tb\nb\tb1\tb2\na\ta1\ta2\n")
     assert tax.labels == ["Root", "a", "b", "b1", "b2", "a1", "a2"]
-    again = parse_taxonomy(serialize_taxonomy(tax))
-    assert again.labels == tax.labels
-    assert again.children == tax.children
-    assert again.parents == tax.parents
+    dag = parse_taxonomy("Root\ta\tb\nb\tc\na\tc\tx\n")
+    assert dag.parents[dag.id_of("c")] == [dag.id_of("b"), dag.id_of("a")]
+    for t in (tax, dag):
+        again = parse_taxonomy(serialize_taxonomy(t))
+        assert again.labels == t.labels
+        assert again.children == t.children
+        assert again.parents == t.parents
 
 
 def test_missing_root_rejected():
