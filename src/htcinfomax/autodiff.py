@@ -477,19 +477,29 @@ def _tap_spans(k: int, seq_len: int) -> list[tuple[int, int, int, int]]:
             for t in range(k)]
 
 
-def _shift_taps(out: np.ndarray, table: np.ndarray, pos: np.ndarray, col: int, spans, c_out: int):
-    """out[:, s] = the sum over taps t of block t (c_out columns from `col`,
-    one block per tap) of the table row that position s + d reads, the
-    centre tap first."""
-    left = (len(spans) - 1) // 2
-    out[...] = table[pos, col + left * c_out:col + (left + 1) * c_out]
-    for t, d, lo, hi in spans:
-        if d:
-            out[:, lo:hi] += table[pos[:, lo + d:hi + d], col + t * c_out:col + (t + 1) * c_out]
+def _sum_taps(out: np.ndarray, scratch: np.ndarray, taps, pos: np.ndarray):
+    """out[b, s] = the sum over the k taps t of row pos[b, s + t - left] of
+    taps[t], a [rows, C_out] block, left = (k - 1) // 2: the centre tap
+    first, then the others in ascending t.  A source outside the sequence
+    reads the blocks' last row, all -0.0, which adds exactly nothing
+    (x + -0.0 is x for every float x), so each tap adds over whole
+    contiguous buffers: `out` and `scratch` are [B, S, C_out].  pos is
+    checked, so "clip" only spares `take` the copy of `out` that it makes
+    under the default "raise"."""
+    k = len(taps)
+    left = (k - 1) // 2
+    batch, seq_len = pos.shape
+    source = np.full((batch, seq_len + k - 1), taps[0].shape[0] - 1)
+    source[:, left:left + seq_len] = pos
+    np.take(taps[left], pos, axis=0, out=out, mode="clip")
+    for t in range(k):
+        if t != left:
+            np.take(taps[t], source[:, t:t + seq_len], axis=0, out=scratch, mode="clip")
+            out += scratch
 
 
 def _unshift_taps(out: np.ndarray, gz: np.ndarray, at: np.ndarray, seq_len: int, branches):
-    """The adjoint of `_shift_taps` at the flat positions `at` (b*S + s):
+    """The adjoint of `_sum_taps` at the flat positions `at` (b*S + s):
     out[j, block t] = the gradient of the output row that reads at[j]
     through tap t, and zero where no output row does.  `gz` is the output
     gradient as [B*S + 1, C] rows, the last one zero."""
@@ -503,16 +513,18 @@ def _unshift_taps(out: np.ndarray, gz: np.ndarray, at: np.ndarray, seq_len: int,
     return out
 
 
-def _check_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> int:
-    """Check the table and kernel shapes; returns the width of the stacked
-    taps, sum of k*C_out."""
+def _check_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> tuple[int, int]:
+    """Check the table and kernel shapes; returns the number of taps, sum of
+    k, and the C_out that every kernel shares."""
     if embedding.ndim != 2:
         raise DimensionError(f"token_conv expects a 2-D embedding table, got {embedding.shape}")
     c_in = embedding.shape[1]
     if not kernels or any(k.ndim != 3 or k.shape[1] != c_in for k in kernels):
         raise DimensionError(f"token_conv kernels {[k.shape for k in kernels]} must be a non-empty "
                              f"list of [k, {c_in}, C_out]")
-    return sum(k.shape[0] * k.shape[2] for k in kernels)
+    if len({k.shape[2] for k in kernels}) > 1:
+        raise DimensionError(f"token_conv kernels {[k.shape for k in kernels]} must share one C_out")
+    return sum(k.shape[0] for k in kernels), kernels[0].shape[2]
 
 
 def _stacked_taps(kernels: Sequence[Tensor]) -> np.ndarray:
@@ -523,21 +535,28 @@ def _stacked_taps(kernels: Sequence[Tensor]) -> np.ndarray:
 
 
 def _response_table(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w plus a last row of zeros, which masked positions read."""
-    table = np.empty((x.shape[0] + 1, w.shape[1]))
-    np.matmul(x, w, out=table[:-1])
-    table[-1] = 0.0
+    """x @ w over two rows of zeros: +0.0, which masked positions read, then
+    -0.0, which sources outside the sequence read (`_sum_taps`)."""
+    table = np.empty((x.shape[0] + 2, w.shape[1]))
+    np.matmul(x, w, out=table[:-2])
+    table[-2] = 0.0
+    table[-1] = -0.0
     return table
 
 
 def token_responses(embedding: Tensor, kernels: Sequence[Tensor]) -> np.ndarray:
-    """`token_conv`'s response table over every embedding row.
+    """`token_conv`'s response table over every embedding row, tap-major:
+    [sum of k, R + 2, C_out], block t of kernel j at index (sum of the
+    earlier kernels' k) + t, each block E @ kernel[t] over the two zero
+    rows of `_response_table`, so that every tap's gather reads contiguous
+    rows.
 
     A constant of the current parameters: inference computes it once for
     many batches, and it is stale after they change.
     """
-    _check_taps(embedding, kernels)
-    return _response_table(embedding.data, _stacked_taps(kernels))
+    taps, c_out = _check_taps(embedding, kernels)
+    table = _response_table(embedding.data, _stacked_taps(kernels))
+    return np.ascontiguousarray(table.reshape(table.shape[0], taps, c_out).transpose(1, 0, 2))
 
 
 def _occurrence_rounds(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -571,11 +590,14 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     It is computed from a response table: with W every kernel laid out as
     [C_in, k*C_out] side by side, R = E[rows] @ W projects each distinct
     row once, and the output at s adds block t of the response read at
-    s + t - left.  Without `responses` the rows are the distinct ids at
-    unmasked positions.  `responses` (`token_responses`) covers every
-    table row, so the responses a batch reads do not depend on the other
-    tokens of its batch; it is a constant, so the output then records no
-    graph, whatever the grad mode.
+    s + t - left.  Each branch sums its taps in a contiguous [B, S, C_out]
+    buffer, the centre tap first, then the others in ascending t, then adds
+    its bias on the way into its channels of the output.  Every kernel
+    shares one C_out.  Without `responses` the rows are the distinct ids
+    at unmasked positions.  `responses` (`token_responses`, tap-major)
+    covers every table row, so the responses a batch reads do not depend
+    on the other tokens of its batch; it is a constant, so the output then
+    records no graph, whatever the grad mode.
     """
     ids = np.asarray(ids, dtype=np.int64)
     valid = np.asarray(mask) != 0
@@ -584,7 +606,8 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     batch, seq_len = ids.shape
     if seq_len < 1:
         raise DomainError("token_conv over an empty sequence")
-    width = _check_taps(embedding, kernels)
+    taps, c_out = _check_taps(embedding, kernels)
+    width = taps * c_out
     if len(biases) != len(kernels) or any(b.shape != k.shape[2:] for k, b in zip(kernels, biases)):
         raise DimensionError(f"token_conv: biases {[b.shape for b in biases]} do not match "
                              f"kernels {[k.shape for k in kernels]}")
@@ -596,26 +619,30 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         x = embedding.data if whole else embedding.data[rows]
         w = _stacked_taps(kernels)
         table = _response_table(x, w)
+        blocks = [table[:, j:j + c_out] for j in range(0, width, c_out)]
         pos = np.full(ids.shape, rows.size)
         pos[valid] = inverse
         parents = (embedding, *kernels, *biases)
     else:
-        if responses.shape != (vocab + 1, width):
+        if responses.shape != (taps, vocab + 2, c_out):
             raise DimensionError(f"token_conv: responses {responses.shape} do not cover "
-                                 f"{vocab} rows of {width} columns")
-        table, pos, parents = responses, np.where(valid, ids, vocab), ()
+                                 f"{taps} taps of {vocab} rows and {c_out} channels")
+        blocks, pos, parents = responses, np.where(valid, ids, vocab), ()
     branches = []       # (kernel, bias, its table columns, its output channels, tap spans)
     col = chan = 0
     for kernel, bias in zip(kernels, biases):
-        k, _, c_out = kernel.shape
+        k = kernel.shape[0]
         branches.append((kernel, bias, slice(col, col + k * c_out), slice(chan, chan + c_out),
                          _tap_spans(k, seq_len)))
         col, chan = col + k * c_out, chan + c_out
-    out = np.empty((batch, seq_len, chan))
+    out = np.empty((batch, seq_len, chan))       # one branch (the MI conv1) sums in it
+    acc = out if len(branches) == 1 else np.empty((batch, seq_len, c_out))
+    scratch = np.empty((batch, seq_len, c_out))
     for kernel, bias, cols, chans, spans in branches:
-        _shift_taps(out[:, :, chans], table, pos, cols.start, spans, kernel.shape[2])
-        out[:, :, chans] += bias.data
-    out *= valid[..., None]
+        _sum_taps(acc, scratch, blocks[cols.start // c_out:cols.stop // c_out], pos)
+        np.add(acc, bias.data, out=out[:, :, chans])
+    if not valid.all():         # times 1.0 would change nothing
+        out *= valid[..., None]
 
     def back(g):        # recorded only without `responses`, where rows, x and w are bound
         gz = np.empty((batch * seq_len + 1, chan))

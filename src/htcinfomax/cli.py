@@ -91,7 +91,19 @@ def _resolve(file_cfg: dict, flag_cfg: dict) -> dict:
     return {**file_cfg, **{k: v for k, v in flag_cfg.items() if v is not None}}
 
 
-def _write_manifest(out_dir, command: str, config: dict, inputs: dict, outputs: dict) -> Path:
+def _blas_setting() -> dict:
+    """The BLAS library numpy was built against and this process's thread
+    setting: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else "default".
+    Fixed-seed results are bit-identical only at one thread setting."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    var = next((v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if os.environ.get(v)), None)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "threads": os.environ[var] if var else "default", "threads_from": var, "cpus": cpus}
+
+
+def _write_manifest(out_dir, command: str, config: dict, inputs: dict, outputs: dict,
+                    blas: dict | None = None) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -102,6 +114,8 @@ def _write_manifest(out_dir, command: str, config: dict, inputs: dict, outputs: 
                    for name, p in inputs.items()},
         "outputs": {name: str(p) for name, p in outputs.items()},
     }
+    if blas is not None:
+        manifest["blas"] = blas
     path = out / MANIFEST_NAME
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -230,9 +244,10 @@ def cmd_train(args) -> int:
     for seed, config in plans:
         outputs[f"checkpoint_seed{seed}"] = config.checkpoint_path
         outputs[f"log_seed{seed}"] = config.log_path
+    blas = _blas_setting()
     _write_manifest(out_dir, "train",
                     {"seeds": seeds, "runs": {str(s): c.to_dict() for s, c in plans}},
-                    inputs, outputs)
+                    inputs, outputs, blas)
 
     tax = load_taxonomy(tax_path)
     vocab = build_vocab_from_file(train_path)
@@ -259,7 +274,7 @@ def cmd_train(args) -> int:
         _table([(k, runs[-1][k]) for k in ("seed", "epochs", "micro_f1", "macro_f1", "L")],
                f"run complete (seed {seed})")
 
-    summary = {"runs": runs, "seeds": seeds}
+    summary = {"runs": runs, "seeds": seeds, "blas": blas}
     measured = [r for r in runs if r["micro_f1"] is not None]
     if measured:
         summary["mean_micro_f1"] = float(np.mean([r["micro_f1"] for r in measured]))
@@ -282,7 +297,7 @@ def _load_for_inference(args, corpus: str):
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     data_path = _require_file(args.data, corpus)
     _write_manifest(Path(args.out), args.command, {"threshold": args.threshold},
-                    {"checkpoint": ckpt_path, "data": data_path}, {})
+                    {"checkpoint": ckpt_path, "data": data_path}, {}, _blas_setting())
     model = load_model(ckpt_path)
     if args.threshold is not None:
         model.head.threshold = args.threshold
@@ -309,12 +324,15 @@ def cmd_predict(args) -> int:
     docs = [Document(tokens=model.vocab.encode(tokens), labels=frozenset())
             for _, tokens, _ in read_raw_corpus(data_path)]
     batches = make_batches(docs, model.config.batch_size, model.config.max_len, model.tax)
-    # the bytes of json.dumps(record, sort_keys=True) per record, one write per batch
-    encode = json.JSONEncoder(sort_keys=True).encode
+    # the bytes of json.dumps(record, sort_keys=True) per record, one write per
+    # batch: the keys are sorted once here, and "labels" < "probs" already
+    order = sorted(range(len(names)), key=names.__getitem__)
+    sorted_names = [names[j] for j in order]
+    encode = json.JSONEncoder().encode
     for _, preds in iter_predictions(batches, model):
         sys.stdout.write("".join(
             encode({"labels": [name for name, d in zip(names, decisions) if d >= 1.0],
-                    "probs": dict(zip(names, probs))}) + "\n"
+                    "probs": dict(zip(sorted_names, [probs[j] for j in order]))}) + "\n"
             for probs, decisions in zip(preds.probs.tolist(), preds.decisions.tolist())))
     log.info("predicted %d documents", len(docs))
     return 0

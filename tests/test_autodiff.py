@@ -441,6 +441,50 @@ def test_token_conv_records_no_graph_from_a_response_table():
     assert ad.token_conv(table, kernels, biases, ids, mask).requires_grad is True
 
 
+def test_token_responses_are_tap_major_blocks_over_two_zero_rows():
+    # block t of kernel j sits at (the earlier kernels' widths) + t, so each
+    # tap's gather reads contiguous rows; masked positions read the +0.0 row,
+    # sources outside the sequence the -0.0 row, which adds exactly nothing
+    table, kernels, _, _, _ = token_conv_inputs("widths-1-to-4")
+    responses = ad.token_responses(table, kernels)
+    assert responses.shape == (1 + 2 + 3 + 4, 12, 2) and responses.flags.c_contiguous
+    first = 0
+    for kernel in kernels:
+        for t in range(kernel.shape[0]):
+            assert_close(responses[first + t, :-2], table.data @ kernel.data[t])
+            assert np.all(responses[first + t, -2:] == 0.0)
+            assert not np.signbit(responses[first + t, -2]).any()
+            assert np.signbit(responses[first + t, -1]).all()
+        first += kernel.shape[0]
+
+
+def test_token_conv_inference_features_do_not_depend_on_the_batch():
+    # a document's features from the response table are the same bits alone,
+    # beside another full-length document (no masked position) and beside a
+    # shorter padded one (the masked path)
+    table, kernels, biases, _, _ = token_conv_inputs("widths-1-to-4", seed=7)
+    responses = ad.token_responses(table, kernels)
+    doc, full, short = [2, 5, 7, 1, 3, 4], [6, 2, 2, 8, 0, 5], [3, 9, 0, 0, 0, 0]
+
+    def features(ids, lengths):
+        mask = (np.arange(6) < np.array(lengths)[:, None]).astype(np.float64)
+        return ad.token_conv(table, kernels, biases, np.array(ids), mask, responses).data[0]
+
+    alone = features([doc], [6])
+    assert np.array_equal(alone, features([doc, full], [6, 6]))
+    assert np.array_equal(alone, features([doc, short], [6, 2]))
+
+
+def test_token_conv_kernels_must_share_one_c_out():
+    table, kernels, biases, ids, mask = token_conv_inputs("widths-1-to-4")
+    rng = np.random.default_rng(1)
+    wide = [kernels[0], rand(rng, 3, 3, 5)]
+    with pytest.raises(ad.DimensionError, match=r"kernels \[\(1, 3, 2\), \(3, 3, 5\)\].*one C_out"):
+        ad.token_conv(table, wide, [biases[0], rand(rng, 5)], ids, mask)
+    with pytest.raises(ad.DimensionError, match="one C_out"):
+        ad.token_responses(table, wide)
+
+
 def test_token_conv_rounds_add_each_position_once():
     pos = np.array([4, 1, 4, 9, 4, 1, 0, 9])      # 9 marks a masked position
     at, sizes = ad._occurrence_rounds(pos, 9)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import struct
 from dataclasses import fields
 
@@ -356,6 +357,34 @@ def test_train_manifest_written(workspace):
     assert manifest["config"]["runs"]["1"]["epochs"] == 2
 
 
+@pytest.mark.parametrize("variables,threads,source", [
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "1", "OPENBLAS_NUM_THREADS"),
+    ({"OMP_NUM_THREADS": "2"}, "2", "OMP_NUM_THREADS"),
+    ({}, "default", None),
+])
+def test_manifests_record_the_blas_thread_setting(workspace, tmp_path, capsys, monkeypatch,
+                                                  variables, threads, source):
+    # fixed-seed results are bit-identical only at one thread setting, so
+    # train, eval and predict each record it, and train's summary repeats it
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in variables.items():
+        monkeypatch.setenv(var, value)
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    expected = {"name": blas["name"], "version": blas["version"], "threads": threads,
+                "threads_from": source, "cpus": len(os.sched_getaffinity(0))}
+    assert cli.main(["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                     "--out", str(tmp_path / "train"), "--epochs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["blas"] == expected
+    for command in ("train", "eval", "predict"):
+        if command != "train":
+            assert cli.main([command, "--checkpoint", str(tmp_path / "train" / "model.ckpt"),
+                             "--data", str(workspace["data"] / "test.jsonl"),
+                             "--out", str(tmp_path / command)]) == 0
+        manifest = json.loads((tmp_path / command / "run_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["blas"] == expected
+
+
 # -- eval -------------------------------------------------------------------------
 
 
@@ -704,6 +733,33 @@ def test_predict_stdout_bytes_are_pinned(workspace, tmp_path, capsys, with_thres
     if with_threshold:
         chosen = [len(json.loads(line)["labels"]) for line in expected.splitlines()]
         assert 0 < sum(chosen) < len(chosen) * len(emitted[0]["probs"])
+
+
+def test_predict_sorts_label_names_as_json_sort_keys_does(workspace, tmp_path, capsys):
+    # predict sorts the names once per call; the bytes must stay those of
+    # json.dumps(record, sort_keys=True) for names that JSON escapes
+    data = tmp_path / "data"
+    data.mkdir()
+    tree = {'q"uote': ["\u00fcber", "Zed"], "back\\slash": ["\u00df", "a\u2603"]}
+    (data / "taxonomy.txt").write_text("".join(
+        "\t".join([parent, *kids]) + "\n" for parent, kids in [("Root", list(tree)), *tree.items()]),
+        encoding="utf-8")
+    rng = np.random.default_rng(2)
+    records = [{"token": [f"w{leaf}{k}" for k in rng.integers(0, 3, 5)], "label": [top, leaf]}
+               for top, leaves in tree.items() for leaf in leaves for _ in range(4)]
+    (data / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records),
+                                      encoding="utf-8")
+    assert cli.main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                     "--out", str(tmp_path / "r"), "--epochs", "1"]) == 0
+    capsys.readouterr()
+    checkpoint = tmp_path / "r" / "model.ckpt"
+    names = load_model(checkpoint).tax.target_names()
+    assert names != sorted(names)
+    assert cli.main(["predict", "--checkpoint", str(checkpoint), "--data", str(data / "train.jsonl"),
+                     "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == reference_predict_output(checkpoint, data / "train.jsonl")
+    assert '"q\\"uote": ' in out and '"back\\\\slash": ' in out and '"\\u00fcber": ' in out
 
 
 def test_predict_accepts_unlabeled_documents(workspace, tmp_path, capsys):

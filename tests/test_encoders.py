@@ -89,7 +89,7 @@ def test_text_encoder_vocabulary_table_matches_the_batch_table():
     whole = enc(batch, enc.responses())
     for a, b in ((whole.token_feats, per_batch.token_feats), (whole.pooled, per_batch.pooled)):
         np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-12 * np.abs(b.data).max())
-    assert enc.responses().shape == (13, (2 + 3 + 4) * 2)
+    assert enc.responses().shape == (2 + 3 + 4, 14, 2)       # tap-major: [sum of k, V + 2, C_out]
 
 
 def test_text_encoder_param_names():
