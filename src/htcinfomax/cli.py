@@ -1,9 +1,12 @@
 """Command-line interface: gendata, train, eval, predict.
 
-Machine-readable JSON goes to stdout; human-readable tables and progress
-go to stderr.  Every command writes a run manifest (resolved config, seed,
-input hashes, output paths) before doing any work, so a run can be
-reproduced from its manifest alone.  Config precedence is defaults, then
+Machine-readable JSON goes to stdout, strict JSON only: a NaN or an
+infinity is refused (exit 1), never printed.  Human-readable tables and
+progress go to stderr.  Every command writes a run manifest (resolved
+config, seed, input hashes, output paths) before doing any other work
+(`eval` and `predict` once the checkpoint is read, since the manifest
+names it by the digest that read verifies), so a run can be reproduced
+from its manifest alone.  Config precedence is defaults, then
 a JSON config file, then command-line flags.  Exit codes: 0 success,
 1 runtime failure, 2 usage error.
 """
@@ -102,16 +105,30 @@ def _blas_setting() -> dict:
             "threads": os.environ[var] if var else "default", "threads_from": var, "cpus": cpus}
 
 
+def _hashed(path) -> dict:
+    """The manifest record of an input file: its path and whole-file SHA-256."""
+    return {"path": str(path), "sha256": file_sha256(path)}
+
+
+def _json(obj) -> str:
+    """`obj` as strict JSON with sorted keys.  A NaN or an infinity, which
+    JSON cannot hold, is a NumericError (exit 1)."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise NumericError(f"cannot write the result as JSON: {err}") from None
+
+
 def _write_manifest(out_dir, command: str, config: dict, inputs: dict, outputs: dict,
                     blas: dict | None = None) -> Path:
+    """`inputs` maps each input's name to its record (`_hashed` for a file)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "artifact_version": __version__,
         "command": command,
         "config": config,
-        "inputs": {name: {"path": str(p), "sha256": file_sha256(p)}
-                   for name, p in inputs.items()},
+        "inputs": inputs,
         "outputs": {name: str(p) for name, p in outputs.items()},
     }
     if blas is not None:
@@ -148,7 +165,7 @@ def cmd_gendata(args) -> int:
     outputs = {name: out_dir / f"{name}.jsonl" for name in ("train", "val", "test")}
     outputs["taxonomy"] = out_dir / "taxonomy.txt"
     outputs["manifest"] = out_dir / "manifest.json"
-    inputs = {"config_file": args.config} if args.config else {}
+    inputs = {"config_file": _hashed(args.config)} if args.config else {}
     _write_manifest(out_dir, "gendata", {**config.to_dict(), "seed": seed}, inputs, outputs)
 
     manifest = generate_synthetic(config, seed, out_dir)
@@ -160,7 +177,7 @@ def cmd_gendata(args) -> int:
         ("val docs", manifest["splits"]["val"]),
         ("test docs", manifest["splits"]["test"]),
     ], f"synthetic corpus at {out_dir}")
-    print(json.dumps({
+    print(_json({
         "out_dir": str(out_dir),
         "seed": seed,
         "label_count": manifest["label_count"],
@@ -168,7 +185,7 @@ def cmd_gendata(args) -> int:
         "avg_labels_per_doc": manifest["avg_labels_per_doc"],
         "splits": manifest["splits"],
         "files": manifest["files"],
-    }, sort_keys=True))
+    }))
     return 0
 
 
@@ -247,7 +264,7 @@ def cmd_train(args) -> int:
     blas = _blas_setting()
     _write_manifest(out_dir, "train",
                     {"seeds": seeds, "runs": {str(s): c.to_dict() for s, c in plans}},
-                    inputs, outputs, blas)
+                    {name: _hashed(p) for name, p in inputs.items()}, outputs, blas)
 
     tax = load_taxonomy(tax_path)
     vocab = build_vocab_from_file(train_path)
@@ -283,7 +300,7 @@ def cmd_train(args) -> int:
             _table([("mean micro F1", f"{summary['mean_micro_f1']:.4f}"),
                     ("mean macro F1", f"{summary['mean_macro_f1']:.4f}")],
                    f"sweep over {len(measured)} seeds")
-    print(json.dumps(summary, sort_keys=True))
+    print(_json(summary))
     return 0
 
 
@@ -291,14 +308,17 @@ def cmd_train(args) -> int:
 
 
 def _load_for_inference(args, corpus: str):
-    """Check the inputs, write the manifest, load the model, apply --threshold."""
+    """Check the inputs, load the model, write the manifest, apply --threshold.
+    The manifest names the checkpoint by the `header_sha256` of its one
+    verified read: the header holds the body's digests."""
     if args.threshold is not None and not np.isfinite(args.threshold):
         raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     data_path = _require_file(args.data, corpus)
-    _write_manifest(Path(args.out), args.command, {"threshold": args.threshold},
-                    {"checkpoint": ckpt_path, "data": data_path}, {}, _blas_setting())
     model = load_model(ckpt_path)
+    _write_manifest(Path(args.out), args.command, {"threshold": args.threshold},
+                    {"checkpoint": {"path": str(ckpt_path), "header_sha256": model.header_sha256},
+                     "data": _hashed(data_path)}, {}, _blas_setting())
     if args.threshold is not None:
         model.head.threshold = args.threshold
     return model, data_path
@@ -313,7 +333,7 @@ def cmd_eval(args) -> int:
             ("macro F1", f"{metrics['macro_f1']:.4f}"),
             ("L_c", f"{metrics['L_c']:.6f}"),
             ("documents", len(docs))], f"evaluation of {data_path}")
-    print(json.dumps(metrics, sort_keys=True))
+    print(_json(metrics))
     return 0
 
 
@@ -328,12 +348,16 @@ def cmd_predict(args) -> int:
     # batch: the keys are sorted once here, and "labels" < "probs" already
     order = sorted(range(len(names)), key=names.__getitem__)
     sorted_names = [names[j] for j in order]
-    encode = json.JSONEncoder().encode
+    encode = json.JSONEncoder(allow_nan=False).encode
     for _, preds in iter_predictions(batches, model):
-        sys.stdout.write("".join(
-            encode({"labels": [name for name, d in zip(names, decisions) if d >= 1.0],
-                    "probs": dict(zip(sorted_names, [probs[j] for j in order]))}) + "\n"
-            for probs, decisions in zip(preds.probs.tolist(), preds.decisions.tolist())))
+        try:
+            lines = "".join(
+                encode({"labels": [name for name, d in zip(names, decisions) if d >= 1.0],
+                        "probs": dict(zip(sorted_names, [probs[j] for j in order]))}) + "\n"
+                for probs, decisions in zip(preds.probs.tolist(), preds.decisions.tolist()))
+        except ValueError as err:
+            raise NumericError(f"cannot write a prediction as JSON: {err}") from None
+        sys.stdout.write(lines)
     log.info("predicted %d documents", len(docs))
     return 0
 

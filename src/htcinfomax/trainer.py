@@ -9,9 +9,11 @@ Fixed (seed, data, config) triples give bit-identical trajectories.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import re
 import struct
 import time
 from dataclasses import dataclass, field
@@ -42,6 +44,8 @@ from .predictor import Predictions, PredictorHead, bce_loss, macro_f1, micro_f1
 from .taxonomy import Taxonomy, normalized_adjacency, parse_taxonomy, serialize_taxonomy
 
 CHECKPOINT_MAGIC = b"HTCIMAX1"
+CHECKPOINT_VERSION = 2
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 class CheckpointError(RuntimeError):
@@ -216,6 +220,8 @@ class Model:
         self.vocab = vocab
         self.config = config
         self.num_labels = tax.num_labels
+        # which checkpoint the values came from, when load_model built this model
+        self.header_sha256: str | None = None
 
         def rng(part: str) -> np.random.Generator | None:
             return derived_rng(config.seed, "init", part) if init else None
@@ -538,14 +544,24 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
 
     The header stores the resolved config with null output paths (so the
     bytes do not depend on where they are written), seed, vocabulary,
-    serialized taxonomy, parameter names/shapes, and optimizer step counts;
-    the body stores each parameter's values, first and second moments.
+    serialized taxonomy, parameter names/shapes, optimizer step counts, and
+    `body_sha256`: one SHA-256 over the value blocks and one over the
+    moment blocks, each in body order.  The body stores each parameter's
+    values, first and second moments.
     """
     registry = model.registry
     names = registry.names()
+    # C-ordered little-endian float64 already, so neither hashing nor writing copies a block
+    blocks = [tuple(np.ascontiguousarray(b, dtype="<f8") for b in triple) for triple in
+              zip(*map(registry.views, (registry.data, optimizer.m, optimizer.v)))]
+    values_sha, moments_sha = hashlib.sha256(), hashlib.sha256()
+    for values, m, v in blocks:
+        values_sha.update(values)
+        moments_sha.update(m)
+        moments_sha.update(v)
     header = {
         "format": "htcinfomax-checkpoint",
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "seed": model.config.seed,
         "config": {**model.config.to_dict(), "checkpoint_path": None, "log_path": None},
         "progress": {"epochs_completed": epochs_completed, "global_step": global_step},
@@ -553,6 +569,7 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
         "taxonomy": serialize_taxonomy(model.tax),
         "params": [{"name": n, "shape": list(registry[n].shape)} for n in names],
         "adam": {n: optimizer.t for n in names},
+        "body_sha256": {"values": values_sha.hexdigest(), "moments": moments_sha.hexdigest()},
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
@@ -562,19 +579,23 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for blocks in zip(*map(registry.views, (registry.data, optimizer.m, optimizer.v))):
-            for values in blocks:
-                # each write copies nothing when the array is C-ordered little-endian float64
-                fh.write(np.ascontiguousarray(values, dtype="<f8"))
+        for triple in blocks:
+            for block in triple:
+                fh.write(block)
 
 
 def read_checkpoint(path, moments: bool = True) -> dict:
     """Read and validate a checkpoint: the one parser of the format.
 
-    Returns {header, params, adam_m, adam_v}.  The file is opened once and
-    streamed: each block is read into its own exactly sized read-only array.
-    With `moments` false the Adam moments' blocks are skipped, unread, and
-    `adam_m`/`adam_v` are empty.
+    Returns {header, header_sha256, params, adam_m, adam_v}.  The file is
+    opened once and streamed: each block is read into its own exactly sized
+    read-only array, refused if it holds a NaN or an infinity, and hashed.
+    The value blocks must match the header's `body_sha256` values digest.
+    With `moments` false the Adam moments' blocks are skipped, unread and
+    unchecked, and `adam_m`/`adam_v` are empty; otherwise they must match
+    its moments digest.  `header_sha256` is the SHA-256 of every byte
+    before the body (magic, length and header): since the header holds the
+    body's digests, it names the verified file.
     """
     try:
         with open(path, "rb") as fh:
@@ -594,10 +615,15 @@ def _read_blocks(fh, path, moments: bool) -> dict:
     header_bytes = fh.read(body_start - 16)
     if len(header_bytes) != body_start - 16:
         raise CheckpointError(f"{path} is truncated inside the header")
+    header_sha256 = hashlib.sha256(start)
+    header_sha256.update(header_bytes)
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-        if header.get("version") != 1:
-            raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
+        version = header.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path} is checkpoint format version {version!r}; this "
+                                  f"reader reads only version {CHECKPOINT_VERSION}, whose "
+                                  "header carries the body's digests")
         layout = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
         names = [name for name, _ in layout]
         if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
@@ -612,6 +638,10 @@ def _read_blocks(fh, path, moments: bool) -> dict:
         if not (isinstance(adam, dict) and set(adam) == set(names) and all(
                 map(_is_count, adam.values())) and len(set(adam.values())) == 1):
             raise ValueError("adam must map exactly the parameter names to one step count")
+        digests = header["body_sha256"]
+        if not (isinstance(digests, dict) and set(digests) == {"values", "moments"} and all(
+                isinstance(d, str) and _SHA256_HEX.fullmatch(d) for d in digests.values())):
+            raise ValueError("body_sha256 must map values and moments to SHA-256 hex digests")
     except (ValueError, AttributeError, KeyError, TypeError, RecursionError) as err:
         raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
     counts = [math.prod(shape) for _, shape in layout]
@@ -621,18 +651,29 @@ def _read_blocks(fh, path, moments: bool) -> dict:
                               f"describes {expected} body bytes, the file holds {actual}")
     if actual > expected:
         raise CheckpointError(f"{path} has {actual - expected} trailing bytes after its last block")
-    stores: tuple[dict[str, np.ndarray], ...] = ({}, {}, {})
+    values_sha, moments_sha = hashlib.sha256(), hashlib.sha256()
+    kinds = (("params", "values", values_sha), ("adam_m", "Adam's m", moments_sha),
+             ("adam_v", "Adam's v", moments_sha))
+    stores: dict[str, dict[str, np.ndarray]] = {key: {} for key, _, _ in kinds}
     for (name, shape), count in zip(layout, counts):
-        for store in stores if moments else stores[:1]:
+        for key, what, digest in kinds if moments else kinds[:1]:
             values = np.empty(count, dtype="<f8")
             if fh.readinto(values) != values.nbytes:
                 raise CheckpointError(f"{path} is truncated: the body ended inside "
                                       f"parameter {name!r}")
+            digest.update(values)
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"{path} holds a non-finite number in the {what} "
+                                      f"of parameter {name!r}")
             values.flags.writeable = False
-            store[name] = values.reshape(shape)
+            stores[key][name] = values.reshape(shape)
         if not moments:
             fh.seek(2 * 8 * count, os.SEEK_CUR)      # the two moment blocks, unread
-    return {"header": header, "params": stores[0], "adam_m": stores[1], "adam_v": stores[2]}
+    for kind, digest in (("values", values_sha), ("moments", moments_sha))[:2 if moments else 1]:
+        if digest.hexdigest() != digests[kind]:
+            raise CheckpointError(f"{path} is corrupt: the digest of its {kind} blocks does "
+                                  "not match the header's body_sha256")
+    return {"header": header, "header_sha256": header_sha256.hexdigest(), **stores}
 
 
 def _check_shapes(path, data: dict, expected: dict[str, tuple[int, ...]], source: str):
@@ -674,7 +715,7 @@ def restore_checkpoint(path, model: Model, optimizer: Adam) -> tuple[int, int]:
 def load_model(path) -> Model:
     """Rebuild a model purely from a checkpoint (config, vocab, taxonomy), read
     once and without its Adam moments.  The model draws no initial values:
-    the body sets every one."""
+    the body sets every one.  Its `header_sha256` names the checkpoint."""
     data = read_checkpoint(path, moments=False)
     header = data["header"]
     try:
@@ -688,4 +729,5 @@ def load_model(path) -> Model:
     _check_shapes(path, data, expected, "has a malformed header: its config implies")
     model = Model(tax, vocab, config, init=False)
     _apply_checkpoint(data, model, None)
+    model.header_sha256 = data["header_sha256"]
     return model

@@ -4,7 +4,7 @@ import io
 import json
 import os
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -604,6 +604,40 @@ def test_checkpoint_body_short_after_the_size_check_is_runtime_error(
     assert rc == 1
     assert "is truncated: the body ended inside parameter" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_a_non_finite_result_is_refused_not_printed(workspace, tmp_path, capsys, monkeypatch,
+                                                    command):
+    # a backstop behind the checkpoint reader and training, which refuse
+    # non-finite numbers first: stdout holds strict JSON or nothing
+    if command == "train":
+        train = cli.run_training
+
+        def run_training(*args, **kwargs):
+            result = train(*args, **kwargs)
+            result.records[-1]["L"] = float("nan")
+            return result
+
+        monkeypatch.setattr(cli, "run_training", run_training)
+        argv = ["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                "--epochs", "1"]
+    elif command == "eval":
+        monkeypatch.setattr(cli, "evaluate", lambda batches, model: {
+            "L_c": float("nan"), "macro_f1": 0.0, "micro_f1": 0.0})
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"]),
+                "--data", str(workspace["data"] / "test.jsonl")]
+    else:
+        predictions = cli.iter_predictions
+        monkeypatch.setattr(cli, "iter_predictions", lambda batches, model: (
+            (batch, replace(preds, probs=np.full_like(preds.probs, np.inf)))
+            for batch, preds in predictions(batches, model)))
+        argv = ["predict", "--checkpoint", str(workspace["checkpoint"]),
+                "--data", str(workspace["data"] / "test.jsonl")]
+    rc = cli.main(argv + ["--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "not JSON compliant" in only_error_line(captured.err)
 
 
 # -- predict ----------------------------------------------------------------------

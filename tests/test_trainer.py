@@ -3,18 +3,21 @@
 import hashlib
 import io
 import json
+import math
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from htcinfomax import autodiff as ad
-from htcinfomax import trainer
+from htcinfomax import cli, trainer
 from htcinfomax.autodiff import Tensor
 from htcinfomax.dataio import (ConfigError, DataError, Document, GeneratorConfig,
-                               Vocabulary, build_vocab_from_file, generate_synthetic,
-                               load_corpus, make_batches)
+                               Vocabulary, build_vocab_from_file, file_sha256,
+                               generate_synthetic, load_corpus, make_batches)
 from htcinfomax.infomax import NumericError
 from htcinfomax.taxonomy import load_taxonomy, parse_taxonomy
 from htcinfomax.trainer import (
@@ -693,7 +696,7 @@ def test_checkpoint_format_is_pinned(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, opt, epochs_completed=1, global_step=1)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "e09a05a9a2956aee263be8aa4ac26427403692b09f51b3d0d981cf00ece5e706"
+        "89040e64640e79ff49109899bbc5d13df855397d6e8d7af174041ce59eaeffb8"
 
 
 class CheckpointFile(io.BufferedReader):
@@ -758,6 +761,187 @@ def test_checkpoint_body_short_after_the_size_check_rejected(tmp_path, monkeypat
                  lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
         with pytest.raises(CheckpointError, match=f"truncated: the body ended inside parameter '{first}'"):
             read(path)
+
+
+def tiny_corpus(tmp_path):
+    """A corpus file of five labeled documents in TAX and VOCAB."""
+    corpus = tmp_path / "docs.jsonl"
+    corpus.write_text("".join(json.dumps({"token": [f"t{i}", f"t{i + 1}"], "label": ["a", "a1"]})
+                              + "\n" for i in range(2, 7)), encoding="utf-8")
+    return corpus
+
+
+def run_cli(argv, capsys) -> tuple[int, str, str]:
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_inference_reads_the_checkpoint_once_and_names_it_by_its_header(
+        tmp_path, monkeypatch, capsys, command):
+    model = Model(TAX, VOCAB, tiny_config())
+    path = tmp_path / "m.ckpt"
+    save_fresh(path, model)
+    corpus = tiny_corpus(tmp_path)
+    hashed = []
+    monkeypatch.setattr(cli, "file_sha256", lambda p: hashed.append(Path(p)) or file_sha256(p))
+    opens = watch_checkpoint_opens(monkeypatch)
+    assert run_cli([command, "--checkpoint", str(path), "--data", str(corpus),
+                    "--out", str(tmp_path / "out")], capsys)[0] == 0
+    blob = path.read_bytes()
+    (header_length,) = struct.unpack("<Q", blob[8:16])
+    param_bytes = sum(8 * p.data.size for _, p in model.registry.items())
+    # one open and one pass over the header and the parameter values; no
+    # second whole-file hash of the checkpoint, whose header names it
+    assert [f.bytes_read for f in opens] == [16 + header_length + param_bytes]
+    assert hashed == [corpus]
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {
+        "checkpoint": {"path": str(path),
+                       "header_sha256": hashlib.sha256(blob[:16 + header_length]).hexdigest()},
+        "data": {"path": str(corpus), "sha256": file_sha256(corpus)}}
+
+
+def body_blocks(blob) -> dict:
+    """(parameter name, kind) -> the byte range of that block of a checkpoint,
+    in body order; kind 0 is the values, 1 Adam's m and 2 Adam's v."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    blocks, offset = {}, 16 + length
+    for entry in json.loads(blob[16:16 + length])["params"]:
+        size = 8 * math.prod(entry["shape"])
+        for kind in range(3):
+            blocks[entry["name"], kind] = slice(offset, offset + size)
+            offset += size
+    return blocks
+
+
+def edit_body(path, name, kind, edit, redigest=False):
+    """Apply `edit` to the bytes of one body block in place; `redigest` then
+    rewrites the header's body digests to match the edited body."""
+    blob = bytearray(path.read_bytes())
+    blocks = body_blocks(blob)
+    edit(memoryview(blob)[blocks[name, kind]])
+    path.write_bytes(blob)
+    if redigest:
+        digests = {"values": hashlib.sha256(), "moments": hashlib.sha256()}
+        for (_, block_kind), block in blocks.items():
+            digests["values" if block_kind == 0 else "moments"].update(blob[block])
+
+        def edit_header(header):
+            parsed = json.loads(header)
+            parsed["body_sha256"] = {k: d.hexdigest() for k, d in digests.items()}
+            return json.dumps(parsed).encode("utf-8")
+
+        _rewrite_header(path, edit_header)
+
+
+def flip_lowest_bit(block):
+    block[0] ^= 1       # the lowest mantissa bit of the first number: it stays finite
+
+
+def test_checkpoint_with_a_flipped_value_bit_fails_its_digest(tmp_path):
+    model = Model(TAX, VOCAB, tiny_config())
+    path = tmp_path / "m.ckpt"
+    save_fresh(path, model)
+    edit_body(path, "head.bias", 0, flip_lowest_bit)
+    for read in (read_checkpoint, load_model,
+                 lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
+        with pytest.raises(CheckpointError, match="digest of its values blocks does not match"):
+            read(path)
+
+
+def test_checkpoint_with_a_flipped_moment_bit_is_refused_only_where_moments_are_read(
+        tmp_path, capsys):
+    model = Model(TAX, VOCAB, tiny_config())
+    opt = Adam(model.registry, 1e-2)
+    (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
+    train_step(batch, model, opt, global_step=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, opt)
+    predict = ["predict", "--checkpoint", str(path), "--data", str(tiny_corpus(tmp_path)),
+               "--out", str(tmp_path)]
+    code, expected, _ = run_cli(predict, capsys)
+    assert code == 0 and expected
+    edit_body(path, "head.bias", 1, flip_lowest_bit)
+    for read in (read_checkpoint, lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
+        with pytest.raises(CheckpointError, match="digest of its moments blocks does not match"):
+            read(path)
+    again = load_model(path)        # skips the moments unread
+    for name, p in model.registry.items():
+        assert again.registry[name].data.tobytes() == p.data.tobytes(), name
+    assert run_cli(predict, capsys)[:2] == (0, expected)
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("number", [np.nan, np.inf])
+def test_non_finite_checkpoint_value_is_a_runtime_error(tmp_path, capsys, command, number):
+    # such a file once loaded silently: eval printed "L_c": NaN and predict
+    # "n0": NaN, neither of them JSON, and both exited 0
+    path = tmp_path / "m.ckpt"
+    save_fresh(path)
+    edit_body(path, "head.bias", 0, lambda block: struct.pack_into("<d", block, 0, number))
+    code, out, err = run_cli([command, "--checkpoint", str(path),
+                              "--data", str(tiny_corpus(tmp_path)), "--out", str(tmp_path)], capsys)
+    assert code == 1 and out == "" and "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "non-finite number in the values of parameter 'head.bias'" in line
+
+
+@pytest.mark.parametrize("number", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind,what", [(0, "values"), (1, "Adam's m"), (2, "Adam's v")])
+def test_checkpoint_holding_a_non_finite_number_is_refused_naming_the_parameter(
+        tmp_path, number, kind, what):
+    # the digests are rewritten to match, so only the finiteness check can refuse the file
+    model = Model(TAX, VOCAB, tiny_config())
+    path = tmp_path / "m.ckpt"
+    save_fresh(path, model)
+    edit_body(path, "head.bias", kind, lambda block: struct.pack_into("<d", block, 8, number),
+              redigest=True)
+    message = re.escape(f"holds a non-finite number in the {what} of parameter 'head.bias'")
+    for read in (read_checkpoint, lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
+        with pytest.raises(CheckpointError, match=message):
+            read(path)
+    if kind == 0:
+        with pytest.raises(CheckpointError, match=message):
+            load_model(path)
+    else:
+        load_model(path)            # skips the moments unread
+
+
+def test_version_1_checkpoint_is_refused_naming_its_version(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_fresh(path)
+
+    def version_1(header):
+        parsed = json.loads(header)
+        parsed["version"] = 1
+        del parsed["body_sha256"]
+        return json.dumps(parsed).encode("utf-8")
+
+    _rewrite_header(path, version_1)
+    for read in (read_checkpoint, load_model):
+        with pytest.raises(CheckpointError, match="is checkpoint format version 1; this reader "
+                                                  "reads only version 2"):
+            read(path)
+
+
+@pytest.mark.parametrize("digests", [None, "ab" * 32, {"values": "ab" * 32},
+                                     {"values": "ab" * 32, "moments": "AB" * 32},
+                                     {"values": "ab" * 31, "moments": "ab" * 32},
+                                     {"values": 5, "moments": "ab" * 32}])
+def test_checkpoint_malformed_body_digests_rejected(tmp_path, digests):
+    path = tmp_path / "m.ckpt"
+    save_fresh(path)
+
+    def edit(header):
+        parsed = json.loads(header)
+        parsed["body_sha256"] = digests
+        return json.dumps(parsed).encode("utf-8")
+
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match="corrupt header.*body_sha256"):
+        read_checkpoint(path)
 
 
 @pytest.mark.parametrize("flags", [{}, {"disable_mi": True}, {"disable_label_prior": True},
