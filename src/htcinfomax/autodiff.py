@@ -89,9 +89,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
-
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
     """Wrap an op result, recording the edge only while grads are enabled."""

@@ -9,12 +9,15 @@ Fixed (seed, data, config) triples give bit-identical trajectories.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import struct
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +49,8 @@ from .taxonomy import Taxonomy, normalized_adjacency, parse_taxonomy, serialize_
 CHECKPOINT_MAGIC = b"HTCIMAX1"
 CHECKPOINT_VERSION = 2
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+# each kind of body block, in body order, and the body_sha256 digest that covers it
+_BODY_KINDS = {"values": "values", "Adam's m": "moments", "Adam's v": "moments"}
 
 
 class CheckpointError(RuntimeError):
@@ -538,6 +543,15 @@ def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxo
 # -- persistence ----------------------------------------------------------------
 
 
+def _body_order(registry: ParamRegistry, optimizer: Adam | None):
+    """(name, kind, block) per body block in body order, per parameter: its
+    values, Adam's m and v as arena views, the moments None without an optimizer."""
+    flats = (registry.data,) if optimizer is None else (registry.data, optimizer.m, optimizer.v)
+    for name, *blocks in zip(registry.names(), *map(registry.views, flats)):
+        for kind, block in itertools.zip_longest(_BODY_KINDS, blocks):
+            yield name, kind, block
+
+
 def save_checkpoint(path, model: Model, optimizer: Adam,
                     epochs_completed: int = 0, global_step: int = 0):
     """Self-describing versioned binary: JSON header + little-endian doubles.
@@ -552,13 +566,11 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
     registry = model.registry
     names = registry.names()
     # C-ordered little-endian float64 already, so neither hashing nor writing copies a block
-    blocks = [tuple(np.ascontiguousarray(b, dtype="<f8") for b in triple) for triple in
-              zip(*map(registry.views, (registry.data, optimizer.m, optimizer.v)))]
-    values_sha, moments_sha = hashlib.sha256(), hashlib.sha256()
-    for values, m, v in blocks:
-        values_sha.update(values)
-        moments_sha.update(m)
-        moments_sha.update(v)
+    blocks = [(kind, np.ascontiguousarray(block, dtype="<f8"))
+              for _, kind, block in _body_order(registry, optimizer)]
+    digests = {"values": hashlib.sha256(), "moments": hashlib.sha256()}
+    for kind, block in blocks:
+        digests[_BODY_KINDS[kind]].update(block)
     header = {
         "format": "htcinfomax-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -569,7 +581,7 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
         "taxonomy": serialize_taxonomy(model.tax),
         "params": [{"name": n, "shape": list(registry[n].shape)} for n in names],
         "adam": {n: optimizer.t for n in names},
-        "body_sha256": {"values": values_sha.hexdigest(), "moments": moments_sha.hexdigest()},
+        "body_sha256": {part: digest.hexdigest() for part, digest in digests.items()},
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
@@ -579,32 +591,25 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for triple in blocks:
-            for block in triple:
-                fh.write(block)
+        for _, block in blocks:
+            fh.write(block)
 
 
-def read_checkpoint(path, moments: bool = True) -> dict:
-    """Read and validate a checkpoint: the one parser of the format.
-
-    Returns {header, header_sha256, params, adam_m, adam_v}.  The file is
-    opened once and streamed: each block is read into its own exactly sized
-    read-only array, refused if it holds a NaN or an infinity, and hashed.
-    The value blocks must match the header's `body_sha256` values digest.
-    With `moments` false the Adam moments' blocks are skipped, unread and
-    unchecked, and `adam_m`/`adam_v` are empty; otherwise they must match
-    its moments digest.  `header_sha256` is the SHA-256 of every byte
-    before the body (magic, length and header): since the header holds the
-    body's digests, it names the verified file.
-    """
+@contextlib.contextmanager
+def _open_checkpoint(path):
+    """The checkpoint file open for reading; an OSError is a CheckpointError."""
     try:
         with open(path, "rb") as fh:
-            return _read_blocks(fh, path, moments)
+            yield fh
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
 
 
-def _read_blocks(fh, path, moments: bool) -> dict:
+def _read_header(fh, path) -> tuple[dict, list[tuple[str, tuple[int, ...]]], str]:
+    """Validate a checkpoint's header and the body's exact length, leaving `fh`
+    at the body.  Returns the header, its (name, shape) layout and
+    `header_sha256`, the SHA-256 of every byte before the body: since the
+    header holds the body's digests, it names the verified file."""
     size = os.fstat(fh.fileno()).st_size
     start = fh.read(16)
     if start[:8] != CHECKPOINT_MAGIC:
@@ -615,8 +620,7 @@ def _read_blocks(fh, path, moments: bool) -> dict:
     header_bytes = fh.read(body_start - 16)
     if len(header_bytes) != body_start - 16:
         raise CheckpointError(f"{path} is truncated inside the header")
-    header_sha256 = hashlib.sha256(start)
-    header_sha256.update(header_bytes)
+    header_sha256 = hashlib.sha256(start + header_bytes).hexdigest()
     try:
         header = json.loads(header_bytes.decode("utf-8"))
         version = header.get("version")
@@ -644,90 +648,88 @@ def _read_blocks(fh, path, moments: bool) -> dict:
             raise ValueError("body_sha256 must map values and moments to SHA-256 hex digests")
     except (ValueError, AttributeError, KeyError, TypeError, RecursionError) as err:
         raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
-    counts = [math.prod(shape) for _, shape in layout]
-    expected, actual = 3 * 8 * sum(counts), size - body_start     # values, m and v blocks
+    expected = 3 * 8 * sum(math.prod(shape) for _, shape in layout)    # values, m and v blocks
+    actual = size - body_start
     if actual < expected:
         raise CheckpointError(f"{path} is truncated or has a corrupt header: the header "
                               f"describes {expected} body bytes, the file holds {actual}")
     if actual > expected:
         raise CheckpointError(f"{path} has {actual - expected} trailing bytes after its last block")
-    values_sha, moments_sha = hashlib.sha256(), hashlib.sha256()
-    kinds = (("params", "values", values_sha), ("adam_m", "Adam's m", moments_sha),
-             ("adam_v", "Adam's v", moments_sha))
-    stores: dict[str, dict[str, np.ndarray]] = {key: {} for key, _, _ in kinds}
-    for (name, shape), count in zip(layout, counts):
-        for key, what, digest in kinds if moments else kinds[:1]:
-            values = np.empty(count, dtype="<f8")
-            if fh.readinto(values) != values.nbytes:
-                raise CheckpointError(f"{path} is truncated: the body ended inside "
-                                      f"parameter {name!r}")
-            digest.update(values)
-            if not np.isfinite(values).all():
-                raise CheckpointError(f"{path} holds a non-finite number in the {what} "
-                                      f"of parameter {name!r}")
-            values.flags.writeable = False
-            stores[key][name] = values.reshape(shape)
-        if not moments:
-            fh.seek(2 * 8 * count, os.SEEK_CUR)      # the two moment blocks, unread
-    for kind, digest in (("values", values_sha), ("moments", moments_sha))[:2 if moments else 1]:
-        if digest.hexdigest() != digests[kind]:
-            raise CheckpointError(f"{path} is corrupt: the digest of its {kind} blocks does "
-                                  "not match the header's body_sha256")
-    return {"header": header, "header_sha256": header_sha256.hexdigest(), **stores}
+    return header, layout, header_sha256
 
 
-def _check_shapes(path, data: dict, expected: dict[str, tuple[int, ...]], source: str):
-    """Raise CheckpointError naming the first parameter whose shape in
-    `expected` (`source` says whose) differs from the body's, None where one
-    side lacks it."""
-    stored = {name: values.shape for name, values in data["params"].items()}
+def _check_layout(path, layout: list, expected: dict[str, tuple[int, ...]], source: str):
+    """Raise CheckpointError unless the header's layout is `expected` (`source`
+    says whose), in order: name the first parameter whose shape differs, None
+    where one side lacks it, else both orders."""
+    stored = dict(layout)
     for name in {**expected, **stored}:
         if stored.get(name) != expected.get(name):
             raise CheckpointError(f"{path} {source} parameter {name!r} of shape "
                                   f"{expected.get(name)}, its body holds {stored.get(name)}")
+    if list(expected) != list(stored):
+        raise CheckpointError(f"{path} {source} the parameter order {list(expected)}, "
+                              f"its body holds {list(stored)}")
 
 
-def _apply_checkpoint(data: dict, model: Model, optimizer: Adam | None) -> tuple[int, int]:
-    """Copy what `read_checkpoint` returned into a live model, and into its optimizer
-    unless None (`load_model`); `_check_shapes` has matched their shapes."""
-    registry, header = model.registry, data["header"]
-    flats = (registry.data,) if optimizer is None else (registry.data, optimizer.m, optimizer.v)
-    for flat, store in zip(flats, (data["params"], data["adam_m"], data["adam_v"])):
-        for name, block in zip(registry.names(), registry.views(flat)):
-            block[...] = store[name]
-    if optimizer is not None:
-        optimizer.t = next(iter(header["adam"].values()))
-    return header["progress"]["epochs_completed"], header["progress"]["global_step"]
+def _read_body(fh, path, header: dict, registry: ParamRegistry, optimizer: Adam | None):
+    """Stream the body, whose layout is the registry's, into the arena and the
+    optimizer's moments: each block is read with `readinto` into its arena
+    view, hashed and refused if it holds a NaN or an infinity.  Without an
+    optimizer the moment blocks are skipped unread and their digest unchecked."""
+    digests = {"values": hashlib.sha256(), "moments": hashlib.sha256()}
+    for name, kind, block in _body_order(registry, optimizer):
+        if block is None:
+            fh.seek(8 * registry[name].data.size, os.SEEK_CUR)
+            continue
+        flat = block.reshape(-1)        # the contiguous arena block itself
+        if fh.readinto(flat) != flat.nbytes:
+            raise CheckpointError(f"{path} is truncated: the body ended inside "
+                                  f"parameter {name!r}")
+        digests[_BODY_KINDS[kind]].update(flat)
+        if sys.byteorder != "little":     # the body is little-endian
+            flat.byteswap(inplace=True)
+        if not np.isfinite(flat).all():
+            raise CheckpointError(f"{path} holds a non-finite number in the {kind} "
+                                  f"of parameter {name!r}")
+    for part in ("values", "moments") if optimizer is not None else ("values",):
+        if digests[part].hexdigest() != header["body_sha256"][part]:
+            raise CheckpointError(f"{path} is corrupt: the digest of its {part} blocks does "
+                                  "not match the header's body_sha256")
 
 
 def restore_checkpoint(path, model: Model, optimizer: Adam) -> tuple[int, int]:
-    """Load parameter values and optimizer state into an existing model.
+    """Read parameter values and optimizer state into an existing model's arena.
 
     Returns (epochs_completed, global_step).  Name or shape disagreements
-    raise CheckpointError identifying the parameter.
-    """
-    data = read_checkpoint(path)
-    _check_shapes(path, data, {name: p.shape for name, p in model.registry.items()},
-                  "does not fit this model, which expects")
-    return _apply_checkpoint(data, model, optimizer)
+    raise CheckpointError identifying the parameter before any value moves.
+    A body refused part-way leaves the model and the optimizer part-written:
+    the caller discards both, as `run_training` does when this raises."""
+    with _open_checkpoint(path) as fh:
+        header, layout, _ = _read_header(fh, path)
+        _check_layout(path, layout, {name: p.shape for name, p in model.registry.items()},
+                      "does not fit this model, which expects")
+        _read_body(fh, path, header, model.registry, optimizer)
+    optimizer.t = next(iter(header["adam"].values()))
+    return header["progress"]["epochs_completed"], header["progress"]["global_step"]
 
 
 def load_model(path) -> Model:
     """Rebuild a model purely from a checkpoint (config, vocab, taxonomy), read
-    once and without its Adam moments.  The model draws no initial values:
-    the body sets every one.  Its `header_sha256` names the checkpoint."""
-    data = read_checkpoint(path, moments=False)
-    header = data["header"]
-    try:
-        config = TrainConfig.from_dict(header["config"])
-        tax = parse_taxonomy(header["taxonomy"])
-        vocab = Vocabulary.from_json(header["vocab"])
-        # the stored shapes are bounded by the body; the config's widths are not
-        expected = param_shapes(config, len(vocab), tax)
-    except (ValueError, AttributeError, KeyError, TypeError) as err:
-        raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
-    _check_shapes(path, data, expected, "has a malformed header: its config implies")
-    model = Model(tax, vocab, config, init=False)
-    _apply_checkpoint(data, model, None)
-    model.header_sha256 = data["header_sha256"]
+    once, without its Adam moments, straight into the arena of a model that
+    draws no initial values.  Its `header_sha256` names the checkpoint."""
+    with _open_checkpoint(path) as fh:
+        header, layout, header_sha256 = _read_header(fh, path)
+        try:
+            config = TrainConfig.from_dict(header["config"])
+            tax = parse_taxonomy(header["taxonomy"])
+            vocab = Vocabulary.from_json(header["vocab"])
+            # the stored shapes are bounded by the body; the config's widths are not
+            expected = param_shapes(config, len(vocab), tax)
+        except (ValueError, AttributeError, KeyError, TypeError) as err:
+            raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
+        _check_layout(path, layout, expected, "has a malformed header: its config implies")
+        model = Model(tax, vocab, config, init=False)
+        _read_body(fh, path, header, model.registry, None)
+    model.header_sha256 = header_sha256
     return model

@@ -13,7 +13,7 @@ from htcinfomax import autodiff as ad
 from htcinfomax import cli, trainer
 from htcinfomax.dataio import (Document, GeneratorConfig, load_corpus, make_batches,
                                read_raw_corpus)
-from htcinfomax.trainer import iter_predictions, load_model, read_checkpoint
+from htcinfomax.trainer import iter_predictions, load_model
 
 TINY_TRAIN_CONFIG = {
     "epochs": 2,
@@ -346,7 +346,7 @@ def test_train_seed_precedence_is_flag_then_config_file(workspace, tmp_path, cap
     manifest = json.loads((tmp_path / "r" / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["seeds"] == [seed]
     assert manifest["config"]["runs"][str(seed)]["seed"] == seed
-    assert read_checkpoint(tmp_path / "r" / "model.ckpt")["header"]["config"]["seed"] == seed
+    assert load_model(tmp_path / "r" / "model.ckpt").config.seed == seed
 
 
 def test_train_manifest_written(workspace):

@@ -7,10 +7,13 @@ import math
 import re
 import struct
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htcinfomax import autodiff as ad
 from htcinfomax import cli, trainer
@@ -37,7 +40,6 @@ from htcinfomax.trainer import (
     iter_predictions,
     load_model,
     param_shapes,
-    read_checkpoint,
     restore_checkpoint,
     run_training,
     save_checkpoint,
@@ -600,6 +602,11 @@ def save_fresh(path, model=None):
     save_checkpoint(path, model, Adam(model.registry, 1e-2))
 
 
+def both_readers(model):
+    """`load_model`, and `restore_checkpoint` into `model` with a fresh optimizer."""
+    return load_model, lambda path: restore_checkpoint(path, model, Adam(model.registry, 1e-2))
+
+
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     opt = Adam(model.registry, 1e-2)
@@ -664,8 +671,10 @@ def test_checkpoint_bytes_do_not_depend_on_where_the_run_writes(tmp_path):
 def test_checkpoint_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
-    with pytest.raises(CheckpointError, match="magic"):
-        read_checkpoint(path)
+    model = Model(TAX, VOCAB, tiny_config())
+    for read in both_readers(model):
+        with pytest.raises(CheckpointError, match="magic"):
+            read(path)
 
 
 def test_checkpoint_truncation_rejected(tmp_path):
@@ -674,16 +683,19 @@ def test_checkpoint_truncation_rejected(tmp_path):
     save_fresh(path, model)
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) - 64])
-    with pytest.raises(CheckpointError, match="truncated"):
-        read_checkpoint(path)
+    for read in both_readers(model):
+        with pytest.raises(CheckpointError, match="truncated"):
+            read(path)
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    model = Model(TAX, VOCAB, tiny_config())
     path = tmp_path / "m.ckpt"
-    save_fresh(path)
+    save_fresh(path, model)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
-    with pytest.raises(CheckpointError, match="8 trailing bytes"):
-        read_checkpoint(path)
+    for read in both_readers(model):
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            read(path)
 
 
 def test_checkpoint_format_is_pinned(tmp_path):
@@ -700,7 +712,7 @@ def test_checkpoint_format_is_pinned(tmp_path):
 
 
 class CheckpointFile(io.BufferedReader):
-    """A checkpoint file as `read_checkpoint` opens it, recording each open
+    """A checkpoint file as `load_model` and `restore_checkpoint` open it, recording each open
     in `opens` and the bytes its reads return in `bytes_read`.  `short`
     returns half of each block read, as if the file shrank after its size
     was taken."""
@@ -730,25 +742,27 @@ def watch_checkpoint_opens(monkeypatch, short=False) -> list:
     return opens
 
 
-def test_checkpoint_is_read_once_into_read_only_views(tmp_path, monkeypatch):
-    model = Model(TAX, VOCAB, tiny_config())
-    opt = Adam(model.registry, 1e-2)
+def test_checkpoint_is_read_once_into_the_arena(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, opt)
-    data = read_checkpoint(path)
-    reg = model.registry
-    for key, flat in (("params", reg.data), ("adam_m", opt.m), ("adam_v", opt.v)):
-        for name, live in zip(reg.names(), reg.views(flat)):
-            store = data[key]
-            assert np.array_equal(store[name], live) and not store[name].flags.writeable
+    model, opt = trained_checkpoint(path)
     (header_length,) = struct.unpack("<Q", path.read_bytes()[8:16])
     param_bytes = sum(8 * p.data.size for _, p in model.registry.items())
     opens = watch_checkpoint_opens(monkeypatch)
-    load_model(path)
+    again = load_model(path)
     # one open, and only the header and the parameter blocks are read: the moments are skipped
     assert [f.bytes_read for f in opens] == [16 + header_length + param_bytes]
-    restore_checkpoint(path, model, Adam(model.registry, 1e-2))
+    assert again.registry.data.tobytes() == model.registry.data.tobytes()
+    fresh = Model(TAX, VOCAB, tiny_config(seed=4))
+    fresh_opt = Adam(fresh.registry, 1e-2)
+    arenas = [fresh.registry.data, fresh_opt.m, fresh_opt.v]
+    restore_checkpoint(path, fresh, fresh_opt)
     assert [f.bytes_read for f in opens[1:]] == [path.stat().st_size]
+    # the values and both moments land in the arrays training updates, bit for bit
+    assert all(a is b for a, b in zip((fresh.registry.data, fresh_opt.m, fresh_opt.v), arenas))
+    for live, saved in zip(arenas, (model.registry.data, opt.m, opt.v)):
+        assert live.tobytes() == saved.tobytes() and saved.any()
+    for name, p in fresh.registry.items():
+        assert np.shares_memory(p.data, fresh.registry.data), name
 
 
 def test_checkpoint_body_short_after_the_size_check_rejected(tmp_path, monkeypatch):
@@ -757,8 +771,7 @@ def test_checkpoint_body_short_after_the_size_check_rejected(tmp_path, monkeypat
     save_checkpoint(path, model, Adam(model.registry, 1e-2))
     watch_checkpoint_opens(monkeypatch, short=True)
     first = model.registry.names()[0]
-    for read in (read_checkpoint, load_model,
-                 lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
+    for read in both_readers(model):
         with pytest.raises(CheckpointError, match=f"truncated: the body ended inside parameter '{first}'"):
             read(path)
 
@@ -845,8 +858,7 @@ def test_checkpoint_with_a_flipped_value_bit_fails_its_digest(tmp_path):
     path = tmp_path / "m.ckpt"
     save_fresh(path, model)
     edit_body(path, "head.bias", 0, flip_lowest_bit)
-    for read in (read_checkpoint, load_model,
-                 lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
+    for read in both_readers(model):
         with pytest.raises(CheckpointError, match="digest of its values blocks does not match"):
             read(path)
 
@@ -864,9 +876,8 @@ def test_checkpoint_with_a_flipped_moment_bit_is_refused_only_where_moments_are_
     code, expected, _ = run_cli(predict, capsys)
     assert code == 0 and expected
     edit_body(path, "head.bias", 1, flip_lowest_bit)
-    for read in (read_checkpoint, lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
-        with pytest.raises(CheckpointError, match="digest of its moments blocks does not match"):
-            read(path)
+    with pytest.raises(CheckpointError, match="digest of its moments blocks does not match"):
+        restore_checkpoint(path, model, Adam(model.registry, 1e-2))
     again = load_model(path)        # skips the moments unread
     for name, p in model.registry.items():
         assert again.registry[name].data.tobytes() == p.data.tobytes(), name
@@ -899,9 +910,8 @@ def test_checkpoint_holding_a_non_finite_number_is_refused_naming_the_parameter(
     edit_body(path, "head.bias", kind, lambda block: struct.pack_into("<d", block, 8, number),
               redigest=True)
     message = re.escape(f"holds a non-finite number in the {what} of parameter 'head.bias'")
-    for read in (read_checkpoint, lambda p: restore_checkpoint(p, model, Adam(model.registry, 1e-2))):
-        with pytest.raises(CheckpointError, match=message):
-            read(path)
+    with pytest.raises(CheckpointError, match=message):
+        restore_checkpoint(path, model, Adam(model.registry, 1e-2))
     if kind == 0:
         with pytest.raises(CheckpointError, match=message):
             load_model(path)
@@ -920,7 +930,8 @@ def test_version_1_checkpoint_is_refused_naming_its_version(tmp_path):
         return json.dumps(parsed).encode("utf-8")
 
     _rewrite_header(path, version_1)
-    for read in (read_checkpoint, load_model):
+    model = Model(TAX, VOCAB, tiny_config())
+    for read in both_readers(model):
         with pytest.raises(CheckpointError, match="is checkpoint format version 1; this reader "
                                                   "reads only version 2"):
             read(path)
@@ -940,8 +951,10 @@ def test_checkpoint_malformed_body_digests_rejected(tmp_path, digests):
         return json.dumps(parsed).encode("utf-8")
 
     _rewrite_header(path, edit)
-    with pytest.raises(CheckpointError, match="corrupt header.*body_sha256"):
-        read_checkpoint(path)
+    model = Model(TAX, VOCAB, tiny_config())
+    for read in both_readers(model):
+        with pytest.raises(CheckpointError, match="corrupt header.*body_sha256"):
+            read(path)
 
 
 @pytest.mark.parametrize("flags", [{}, {"disable_mi": True}, {"disable_label_prior": True},
@@ -976,8 +989,9 @@ def test_checkpoint_corrupt_header_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_fresh(path)
     _rewrite_header(path, lambda header: header[:-7])
+    model = Model(TAX, VOCAB, tiny_config())
     with pytest.raises(CheckpointError, match="corrupt header"):
-        read_checkpoint(path)
+        restore_checkpoint(path, model, Adam(model.registry, 1e-2))
     with pytest.raises(CheckpointError, match="corrupt header"):
         load_model(path)
 
@@ -1069,7 +1083,7 @@ def test_checkpoint_malformed_progress_or_adam_rejected(tmp_path, case):
 
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match="corrupt header"):
-        read_checkpoint(path)
+        load_model(path)
     with pytest.raises(CheckpointError, match="corrupt header"):
         restore_checkpoint(path, model, Adam(model.registry, 1e-2))
 
@@ -1092,6 +1106,98 @@ def test_checkpoint_shape_mismatch_names_parameter(tmp_path):
         prior_hidden=(5, 3), text_kernels=(2, 3, 4))))
     with pytest.raises(CheckpointError, match=r"parameter 'text\.embedding' of shape \(10, 8\)"):
         restore_checkpoint(path, bigger, Adam(bigger.registry, 1e-2))
+
+
+def test_checkpoint_listing_its_parameters_out_of_order_is_refused(tmp_path):
+    # the body is read in the registry's order, so the same names and shapes in
+    # another order would put each block into another parameter
+    model = Model(TAX, VOCAB, tiny_config())
+    path = tmp_path / "m.ckpt"
+    save_fresh(path, model)
+
+    def swap(header):
+        parsed = json.loads(header)
+        params = parsed["params"]
+        params[1], params[2] = params[2], params[1]
+        return json.dumps(parsed).encode("utf-8")
+
+    _rewrite_header(path, swap)
+    for read in both_readers(model):
+        with pytest.raises(CheckpointError, match="the parameter order .*, its body holds"):
+            read(path)
+
+
+def trained_checkpoint(path):
+    """A tiny full model after one step, saved with moments unlike its values."""
+    model = Model(TAX, VOCAB, tiny_config())
+    opt = Adam(model.registry, 1e-2)
+    (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
+    train_step(batch, model, opt, global_step=0)
+    save_checkpoint(path, model, opt)
+    return model, opt
+
+
+def test_checkpoint_reader_swaps_a_foreign_byte_order(tmp_path, monkeypatch):
+    # a big-endian host reads the little-endian body into native doubles; here
+    # the body is big-endian and the reader is told the host is
+    path = tmp_path / "m.ckpt"
+    model, opt = trained_checkpoint(path)
+    blob = bytearray(path.read_bytes())
+    for block in body_blocks(blob).values():
+        blob[block] = np.frombuffer(bytes(blob[block]), "<f8").astype(">f8").tobytes()
+    path.write_bytes(blob)
+    edit_body(path, "head.bias", 0, lambda block: None, redigest=True)
+    monkeypatch.setattr(trainer, "sys", types.SimpleNamespace(byteorder="big"))
+    assert load_model(path).registry.data.tobytes() == model.registry.data.tobytes()
+    fresh = Model(TAX, VOCAB, tiny_config())
+    fresh_opt = Adam(fresh.registry, 1e-2)
+    restore_checkpoint(path, fresh, fresh_opt)
+    for live, saved in zip((fresh.registry.data, fresh_opt.m, fresh_opt.v),
+                           (model.registry.data, opt.m, opt.v)):
+        assert live.tobytes() == saved.tobytes()
+
+
+def test_fuzzed_checkpoint_loads_exactly_or_is_refused(tmp_path):
+    # one flipped bit scales a declared extent by at most 9x, and the exact-length
+    # check refuses that before anything is allocated
+    path = tmp_path / "m.ckpt"
+    model, _ = trained_checkpoint(path)
+    blob, saved = path.read_bytes(), model.registry.data.tobytes()
+    body_start = 16 + struct.unpack("<Q", blob[8:16])[0]
+    target = Model(TAX, VOCAB, tiny_config())
+    target_opt = Adam(target.registry, 1e-2)
+    mutations = st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 8 * len(blob) - 1)),
+        st.tuples(st.just("flip"), st.integers(8 * body_start, 8 * len(blob) - 1)),   # the body
+        st.tuples(st.just("truncate"), st.integers(0, len(blob) - 1)),
+        st.tuples(st.just("append"), st.binary(min_size=1, max_size=32)),
+        st.tuples(st.just("length"), st.one_of(st.integers(0, len(blob)),
+                                               st.integers(0, 2**64 - 1))))
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(mutations)
+    def check(mutation):
+        kind, arg = mutation
+        data = bytearray(blob)
+        if kind == "flip":
+            data[arg // 8] ^= 1 << arg % 8
+        elif kind == "truncate":
+            del data[arg:]
+        elif kind == "append":
+            data += arg
+        else:
+            data[8:16] = struct.pack("<Q", arg)
+        path.write_bytes(data)
+        try:
+            assert load_model(path).registry.data.tobytes() == saved
+        except CheckpointError:
+            pass
+        try:
+            restore_checkpoint(path, target, target_opt)
+        except CheckpointError:
+            pass
+
+    check()
 
 
 # -- training loop -----------------------------------------------------------------
@@ -1137,8 +1243,29 @@ def test_split_run_equals_uninterrupted_run(tmp_path):
     assert strip(full.records[2:]) == strip(resumed.records)
     for name, p in full.model.registry.items():
         assert np.array_equal(p.data, resumed.model.registry[name].data)
-    assert read_checkpoint(tmp_path / "full.ckpt")["header"]["progress"] == \
-        read_checkpoint(tmp_path / "resumed.ckpt")["header"]["progress"]
+    fresh = Model(TAX, VOCAB, tiny_config())
+    progress = [restore_checkpoint(tmp_path / name, fresh, Adam(fresh.registry, 1e-2))
+                for name in ("full.ckpt", "resumed.ckpt")]
+    assert progress == [(4, full.global_step)] * 2
+
+
+@pytest.mark.parametrize("kind,edit,redigest,message", [
+    (0, flip_lowest_bit, False, "digest of its values blocks does not match"),
+    (1, lambda block: struct.pack_into("<d", block, 0, np.nan), True,
+     "non-finite number in the Adam's m of parameter 'head.bias'")],
+    ids=["flipped-value-bit", "nan-in-m"])
+def test_refused_resume_writes_nothing(tmp_path, kind, edit, redigest, message):
+    # restore_checkpoint reads into the run's own model and optimizer, so a body
+    # refused part-way must end the run before it trains or writes a file
+    docs = tiny_docs(6)
+    half = tmp_path / "half.ckpt"
+    run_training(docs, [], TAX, VOCAB, tiny_config(checkpoint_path=str(half)))
+    edit_body(half, "head.bias", kind, edit, redigest=redigest)
+    config = tiny_config(epochs=4, checkpoint_path=str(tmp_path / "resumed.ckpt"),
+                         log_path=str(tmp_path / "log.jsonl"))
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        run_training(docs, [], TAX, VOCAB, config, resume_from=str(half))
+    assert [p.name for p in tmp_path.iterdir()] == ["half.ckpt"]
 
 
 def test_run_training_rejects_unlabeled_documents():
