@@ -47,7 +47,7 @@ from .predictor import Predictions, PredictorHead, bce_loss, macro_f1, micro_f1
 from .taxonomy import Taxonomy, normalized_adjacency, parse_taxonomy, serialize_taxonomy
 
 CHECKPOINT_MAGIC = b"HTCIMAX1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 # each kind of body block, in body order, and the body_sha256 digest that covers it
 _BODY_KINDS = {"values": "values", "Adam's m": "moments", "Adam's v": "moments"}
@@ -88,6 +88,8 @@ class ModelDims(Settings):
             raise ConfigError("attention requires feature_dim == label_dim")
         if not self.text_kernels or self.feature_dim % len(self.text_kernels) != 0:
             raise ConfigError("feature_dim must divide evenly across >= 1 text kernels")
+        if len(set(self.text_kernels)) != len(self.text_kernels):
+            raise ConfigError("text_kernels must be distinct: each names its own parameters")
         if len(self.prior_hidden) != 2:
             raise ConfigError("prior_hidden must hold exactly two widths")
 
@@ -556,31 +558,30 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
                     epochs_completed: int = 0, global_step: int = 0):
     """Self-describing versioned binary: JSON header + little-endian doubles.
 
-    The header stores the resolved config with null output paths (so the
-    bytes do not depend on where they are written), seed, vocabulary,
-    serialized taxonomy, parameter names/shapes, optimizer step counts, and
-    `body_sha256`: one SHA-256 over the value blocks and one over the
-    moment blocks, each in body order.  The body stores each parameter's
-    values, first and second moments.
+    The header stores the version, the resolved config with null output
+    paths (so the bytes do not depend on where they are written), the
+    progress, vocabulary, serialized taxonomy, and `body_sha256`: one
+    SHA-256 over the value blocks and one over the moment blocks, each in
+    body order.  The body stores each parameter's values, first and second
+    moments, in registry order; the reader derives that layout from the
+    config.  `global_step` must be `optimizer.t`, since the reader restores
+    Adam's step count from it.
     """
-    registry = model.registry
-    names = registry.names()
+    if global_step != optimizer.t:
+        raise ad.ContractError(f"global_step {global_step} is not the optimizer's step count "
+                               f"{optimizer.t}, which a checkpoint restores from it")
     # C-ordered little-endian float64 already, so neither hashing nor writing copies a block
     blocks = [(kind, np.ascontiguousarray(block, dtype="<f8"))
-              for _, kind, block in _body_order(registry, optimizer)]
+              for _, kind, block in _body_order(model.registry, optimizer)]
     digests = {"values": hashlib.sha256(), "moments": hashlib.sha256()}
     for kind, block in blocks:
         digests[_BODY_KINDS[kind]].update(block)
     header = {
-        "format": "htcinfomax-checkpoint",
         "version": CHECKPOINT_VERSION,
-        "seed": model.config.seed,
         "config": {**model.config.to_dict(), "checkpoint_path": None, "log_path": None},
         "progress": {"epochs_completed": epochs_completed, "global_step": global_step},
         "vocab": model.vocab.to_json(),
         "taxonomy": serialize_taxonomy(model.tax),
-        "params": [{"name": n, "shape": list(registry[n].shape)} for n in names],
-        "adam": {n: optimizer.t for n in names},
         "body_sha256": {part: digest.hexdigest() for part, digest in digests.items()},
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -605,9 +606,14 @@ def _open_checkpoint(path):
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
 
 
-def _read_header(fh, path) -> tuple[dict, list[tuple[str, tuple[int, ...]]], str]:
+def _read_header(fh, path) -> tuple[dict, tuple, dict[str, tuple[int, ...]], str]:
     """Validate a checkpoint's header and the body's exact length, leaving `fh`
-    at the body.  Returns the header, its (name, shape) layout and
+    at the body.  In order: the magic, the header length, the JSON, the
+    version, `progress` and `body_sha256` ("corrupt header"); the config,
+    taxonomy and vocabulary ("malformed header"), whose `param_shapes` is the
+    body's layout; then the body's exact length against that layout, so a
+    config implying more than the file holds allocates nothing.  Returns
+    the header, its (taxonomy, vocabulary, config), the layout and
     `header_sha256`, the SHA-256 of every byte before the body: since the
     header holds the body's digests, it names the verified file."""
     size = os.fstat(fh.fileno()).st_size
@@ -620,56 +626,37 @@ def _read_header(fh, path) -> tuple[dict, list[tuple[str, tuple[int, ...]]], str
     header_bytes = fh.read(body_start - 16)
     if len(header_bytes) != body_start - 16:
         raise CheckpointError(f"{path} is truncated inside the header")
-    header_sha256 = hashlib.sha256(start + header_bytes).hexdigest()
     try:
         header = json.loads(header_bytes.decode("utf-8"))
         version = header.get("version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path} is checkpoint format version {version!r}; this "
                                   f"reader reads only version {CHECKPOINT_VERSION}, whose "
-                                  "header carries the body's digests")
-        layout = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-        names = [name for name, _ in layout]
-        if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
-            raise ValueError("parameter names must be distinct strings")
-        # positive extents are each at most their block's size, which the body bounds
-        if not all(_is_width(n) for _, shape in layout for n in shape):
-            raise ValueError("a parameter shape is not a list of positive integers")
-        progress, adam = header["progress"], header["adam"]
+                                  "layout follows from its config")
+        progress = header["progress"]
         if not (isinstance(progress, dict) and _is_count(progress.get("epochs_completed"))
                 and _is_count(progress.get("global_step"))):
             raise ValueError("progress must hold two non-negative integer counts")
-        if not (isinstance(adam, dict) and set(adam) == set(names) and all(
-                map(_is_count, adam.values())) and len(set(adam.values())) == 1):
-            raise ValueError("adam must map exactly the parameter names to one step count")
         digests = header["body_sha256"]
         if not (isinstance(digests, dict) and set(digests) == {"values", "moments"} and all(
                 isinstance(d, str) and _SHA256_HEX.fullmatch(d) for d in digests.values())):
             raise ValueError("body_sha256 must map values and moments to SHA-256 hex digests")
     except (ValueError, AttributeError, KeyError, TypeError, RecursionError) as err:
         raise CheckpointError(f"{path} has a corrupt header: {err!r}") from None
-    expected = 3 * 8 * sum(math.prod(shape) for _, shape in layout)    # values, m and v blocks
+    try:
+        config = TrainConfig.from_dict(header["config"])
+        tax, vocab = parse_taxonomy(header["taxonomy"]), Vocabulary.from_json(header["vocab"])
+        layout = param_shapes(config, len(vocab), tax)
+    except (ValueError, AttributeError, KeyError, TypeError) as err:
+        raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
+    expected = 3 * 8 * sum(map(math.prod, layout.values()))     # values, m and v blocks
     actual = size - body_start
     if actual < expected:
         raise CheckpointError(f"{path} is truncated or has a corrupt header: the header "
                               f"describes {expected} body bytes, the file holds {actual}")
     if actual > expected:
         raise CheckpointError(f"{path} has {actual - expected} trailing bytes after its last block")
-    return header, layout, header_sha256
-
-
-def _check_layout(path, layout: list, expected: dict[str, tuple[int, ...]], source: str):
-    """Raise CheckpointError unless the header's layout is `expected` (`source`
-    says whose), in order: name the first parameter whose shape differs, None
-    where one side lacks it, else both orders."""
-    stored = dict(layout)
-    for name in {**expected, **stored}:
-        if stored.get(name) != expected.get(name):
-            raise CheckpointError(f"{path} {source} parameter {name!r} of shape "
-                                  f"{expected.get(name)}, its body holds {stored.get(name)}")
-    if list(expected) != list(stored):
-        raise CheckpointError(f"{path} {source} the parameter order {list(expected)}, "
-                              f"its body holds {list(stored)}")
+    return header, (tax, vocab, config), layout, hashlib.sha256(start + header_bytes).hexdigest()
 
 
 def _read_body(fh, path, header: dict, registry: ParamRegistry, optimizer: Adam | None):
@@ -701,16 +688,22 @@ def _read_body(fh, path, header: dict, registry: ParamRegistry, optimizer: Adam 
 def restore_checkpoint(path, model: Model, optimizer: Adam) -> tuple[int, int]:
     """Read parameter values and optimizer state into an existing model's arena.
 
-    Returns (epochs_completed, global_step).  Name or shape disagreements
-    raise CheckpointError identifying the parameter before any value moves.
-    A body refused part-way leaves the model and the optimizer part-written:
-    the caller discards both, as `run_training` does when this raises."""
+    Returns (epochs_completed, global_step), and sets `optimizer.t` to the
+    latter.  A parameter whose name or shape differs between the header's
+    layout and the model raises CheckpointError naming it before any value
+    moves.  A body refused part-way leaves the model and the optimizer
+    part-written: the caller discards both, as `run_training` does when
+    this raises."""
     with _open_checkpoint(path) as fh:
-        header, layout, _ = _read_header(fh, path)
-        _check_layout(path, layout, {name: p.shape for name, p in model.registry.items()},
-                      "does not fit this model, which expects")
+        header, _, layout, _ = _read_header(fh, path)
+        expected = {name: p.shape for name, p in model.registry.items()}
+        for name in {**expected, **layout}:
+            if layout.get(name) != expected.get(name):
+                raise CheckpointError(
+                    f"{path} does not fit this model, which expects parameter {name!r} of shape "
+                    f"{expected.get(name)}, its body holds {layout.get(name)}")
         _read_body(fh, path, header, model.registry, optimizer)
-    optimizer.t = next(iter(header["adam"].values()))
+    optimizer.t = header["progress"]["global_step"]
     return header["progress"]["epochs_completed"], header["progress"]["global_step"]
 
 
@@ -719,16 +712,7 @@ def load_model(path) -> Model:
     once, without its Adam moments, straight into the arena of a model that
     draws no initial values.  Its `header_sha256` names the checkpoint."""
     with _open_checkpoint(path) as fh:
-        header, layout, header_sha256 = _read_header(fh, path)
-        try:
-            config = TrainConfig.from_dict(header["config"])
-            tax = parse_taxonomy(header["taxonomy"])
-            vocab = Vocabulary.from_json(header["vocab"])
-            # the stored shapes are bounded by the body; the config's widths are not
-            expected = param_shapes(config, len(vocab), tax)
-        except (ValueError, AttributeError, KeyError, TypeError) as err:
-            raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
-        _check_layout(path, layout, expected, "has a malformed header: its config implies")
+        header, (tax, vocab, config), _, header_sha256 = _read_header(fh, path)
         model = Model(tax, vocab, config, init=False)
         _read_body(fh, path, header, model.registry, None)
     model.header_sha256 = header_sha256

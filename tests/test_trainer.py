@@ -263,8 +263,10 @@ def test_train_config_validation():
     (lambda: TrainConfig(batch_size=0), "train.batch_size"),
     (lambda: TrainConfig(max_len=0), "train.max_len"),
     (lambda: ModelDims(feature_dim=7, label_dim=7), "divide evenly"),
+    # a repeated width would name two kernels alike, and the registry would keep only one
+    (lambda: ModelDims(text_kernels=(3, 3)), "text_kernels must be distinct"),
 ], ids=["clip_norm", "epochs", "seed", "dims", "feature_dim", "depth", "batch_size", "max_len",
-        "kernel_split"])
+        "kernel_split", "kernel_repeated"])
 def test_settings_check_themselves_when_made(make, key):
     with pytest.raises(ConfigError, match=key):
         make()
@@ -590,7 +592,9 @@ def test_param_shapes_match_the_registry(flags, kernels):
                      prior_hidden=(5, 3), text_kernels=kernels)
     config = tiny_config(dims=dims, **flags)
     model = Model(TAX, VOCAB, config)
-    assert param_shapes(config, len(VOCAB), TAX) == {n: p.shape for n, p in model.registry.items()}
+    # in order too: the body is written and read in registry order
+    assert list(param_shapes(config, len(VOCAB), TAX).items()) == \
+        [(n, p.shape) for n, p in model.registry.items()]
 
 
 # -- checkpointing -----------------------------------------------------------------
@@ -629,9 +633,14 @@ def test_checkpoint_restores_values_and_adam_state(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     opt = Adam(model.registry, 1e-2)
     batches = make_batches(tiny_docs(4), 2, 8, TAX)
+    path = tmp_path / "m.ckpt"
     for i, b in enumerate(batches):
         train_step(b, model, opt, global_step=i)
-    path = tmp_path / "m.ckpt"
+        # a restore takes Adam's t from global_step, so the two must agree
+        with pytest.raises(ad.ContractError, match=f"global_step {i} is not the optimizer's "
+                                                   f"step count {i + 1}"):
+            save_checkpoint(path, model, opt, global_step=i)
+        assert not path.exists()
     save_checkpoint(path, model, opt, epochs_completed=1, global_step=2)
 
     fresh = Model(TAX, VOCAB, tiny_config())
@@ -708,7 +717,7 @@ def test_checkpoint_format_is_pinned(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, opt, epochs_completed=1, global_step=1)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "89040e64640e79ff49109899bbc5d13df855397d6e8d7af174041ce59eaeffb8"
+        "3c973659edde1b7fa58124b087dd84394493fd17920c406b0db829850bb1db39"
 
 
 class CheckpointFile(io.BufferedReader):
@@ -818,13 +827,17 @@ def test_inference_reads_the_checkpoint_once_and_names_it_by_its_header(
 
 def body_blocks(blob) -> dict:
     """(parameter name, kind) -> the byte range of that block of a checkpoint,
-    in body order; kind 0 is the values, 1 Adam's m and 2 Adam's v."""
+    in body order, from the layout its header's config implies; kind 0 is
+    the values, 1 Adam's m and 2 Adam's v."""
     (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    layout = param_shapes(TrainConfig.from_dict(header["config"]), len(header["vocab"]),
+                          parse_taxonomy(header["taxonomy"]))
     blocks, offset = {}, 16 + length
-    for entry in json.loads(blob[16:16 + length])["params"]:
-        size = 8 * math.prod(entry["shape"])
+    for name, shape in layout.items():
+        size = 8 * math.prod(shape)
         for kind in range(3):
-            blocks[entry["name"], kind] = slice(offset, offset + size)
+            blocks[name, kind] = slice(offset, offset + size)
             offset += size
     return blocks
 
@@ -870,7 +883,7 @@ def test_checkpoint_with_a_flipped_moment_bit_is_refused_only_where_moments_are_
     (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
     train_step(batch, model, opt, global_step=0)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, opt)
+    save_checkpoint(path, model, opt, global_step=1)
     predict = ["predict", "--checkpoint", str(path), "--data", str(tiny_corpus(tmp_path)),
                "--out", str(tmp_path)]
     code, expected, _ = run_cli(predict, capsys)
@@ -920,21 +933,24 @@ def test_checkpoint_holding_a_non_finite_number_is_refused_naming_the_parameter(
 
 
 def test_version_1_checkpoint_is_refused_naming_its_version(tmp_path):
-    path = tmp_path / "m.ckpt"
-    save_fresh(path)
-
-    def version_1(header):
-        parsed = json.loads(header)
-        parsed["version"] = 1
-        del parsed["body_sha256"]
-        return json.dumps(parsed).encode("utf-8")
-
-    _rewrite_header(path, version_1)
+    # and version 2, which listed the parameters and Adam's step counts in its header
     model = Model(TAX, VOCAB, tiny_config())
-    for read in both_readers(model):
-        with pytest.raises(CheckpointError, match="is checkpoint format version 1; this reader "
-                                                  "reads only version 2"):
-            read(path)
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.ckpt"
+        save_fresh(path, model)
+
+        def older(header):
+            parsed = json.loads(header)
+            parsed["version"] = version
+            if version == 1:
+                del parsed["body_sha256"]
+            return json.dumps(parsed).encode("utf-8")
+
+        _rewrite_header(path, older)
+        for read in both_readers(model):
+            with pytest.raises(CheckpointError, match=f"is checkpoint format version {version}; "
+                                                      "this reader reads only version 3"):
+                read(path)
 
 
 @pytest.mark.parametrize("digests", [None, "ab" * 32, {"values": "ab" * 32},
@@ -965,7 +981,7 @@ def test_load_model_draws_no_initial_values(tmp_path, monkeypatch, flags):
     (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
     train_step(batch, model, opt, global_step=0)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, opt)
+    save_checkpoint(path, model, opt, global_step=1)
     streams = []
     original = trainer.derived_rng
     monkeypatch.setattr(trainer, "derived_rng", lambda *keys: streams.append(keys) or original(*keys))
@@ -1020,10 +1036,13 @@ def test_load_model_compares_shapes_before_building_the_model(tmp_path, monkeypa
         parsed["config"]["dims"]["embed_dim"] = 10**9
         return json.dumps(parsed).encode("utf-8")
 
+    blob = path.read_bytes()
+    body_bytes = len(blob) - 16 - struct.unpack("<Q", blob[8:16])[0]
     _rewrite_header(path, huge)
     built = []
-    monkeypatch.setattr(trainer, "Model", lambda *args: built.append(args))
-    with pytest.raises(CheckpointError, match=r"'text.embedding' of shape \(10, 1000000000\)"):
+    monkeypatch.setattr(trainer, "Model", lambda *args, **kw: built.append(args))
+    with pytest.raises(CheckpointError, match=r"the header describes \d{11,} body bytes, "
+                                              f"the file holds {body_bytes}$"):
         load_model(path)
     assert built == []
 
@@ -1063,15 +1082,12 @@ HOSTILE_HEADER_EDITS = {
     "progress-not-object": lambda h: h.update(progress=[1, 2]),
     "progress-missing-step": lambda h: h.update(progress={"epochs_completed": 1}),
     "progress-negative": lambda h: h["progress"].update(epochs_completed=-1),
-    "adam-not-object": lambda h: h.update(adam=5),
-    "adam-null": lambda h: h.update(adam=None),
-    "adam-other-names": lambda h: h.update(adam={"text.embedding": 0}),
-    "adam-two-counts": lambda h: h["adam"].update({h["params"][0]["name"]: 2}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_HEADER_EDITS))
 def test_checkpoint_malformed_progress_or_adam_rejected(tmp_path, case):
+    # version 3 keeps Adam's step count in progress.global_step alone
     model = Model(TAX, VOCAB, tiny_config())
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, Adam(model.registry, 1e-2))
@@ -1108,32 +1124,13 @@ def test_checkpoint_shape_mismatch_names_parameter(tmp_path):
         restore_checkpoint(path, bigger, Adam(bigger.registry, 1e-2))
 
 
-def test_checkpoint_listing_its_parameters_out_of_order_is_refused(tmp_path):
-    # the body is read in the registry's order, so the same names and shapes in
-    # another order would put each block into another parameter
-    model = Model(TAX, VOCAB, tiny_config())
-    path = tmp_path / "m.ckpt"
-    save_fresh(path, model)
-
-    def swap(header):
-        parsed = json.loads(header)
-        params = parsed["params"]
-        params[1], params[2] = params[2], params[1]
-        return json.dumps(parsed).encode("utf-8")
-
-    _rewrite_header(path, swap)
-    for read in both_readers(model):
-        with pytest.raises(CheckpointError, match="the parameter order .*, its body holds"):
-            read(path)
-
-
 def trained_checkpoint(path):
     """A tiny full model after one step, saved with moments unlike its values."""
     model = Model(TAX, VOCAB, tiny_config())
     opt = Adam(model.registry, 1e-2)
     (batch,) = make_batches(tiny_docs(2), 2, 8, TAX)
     train_step(batch, model, opt, global_step=0)
-    save_checkpoint(path, model, opt)
+    save_checkpoint(path, model, opt, global_step=1)
     return model, opt
 
 
@@ -1157,22 +1154,38 @@ def test_checkpoint_reader_swaps_a_foreign_byte_order(tmp_path, monkeypatch):
         assert live.tobytes() == saved.tobytes()
 
 
-def test_fuzzed_checkpoint_loads_exactly_or_is_refused(tmp_path):
-    # one flipped bit scales a declared extent by at most 9x, and the exact-length
-    # check refuses that before anything is allocated
+DIMS_WIDTHS = ["embed_dim", "feature_dim", "label_dim", "mi_hidden", "mi_kernel",
+               *(("text_kernels", i) for i in range(3)), *(("prior_hidden", i) for i in range(2))]
+
+
+def test_fuzzed_checkpoint_loads_exactly_or_is_refused(tmp_path, monkeypatch):
+    # one flipped bit scales a width or a body size by at most 9x, and a
+    # header's config may declare any width: the exact-length check refuses
+    # each before anything is allocated, so no arena outgrows the file
     path = tmp_path / "m.ckpt"
     model, _ = trained_checkpoint(path)
     blob, saved = path.read_bytes(), model.registry.data.tobytes()
     body_start = 16 + struct.unpack("<Q", blob[8:16])[0]
     target = Model(TAX, VOCAB, tiny_config())
     target_opt = Adam(target.registry, 1e-2)
+    arena_zeros = trainer._arena_zeros
+
+    def bounded_arena_zeros(size):
+        assert 8 * size <= path.stat().st_size, f"an arena of {size} values"
+        return arena_zeros(size)
+
+    monkeypatch.setattr(trainer, "_arena_zeros", bounded_arena_zeros)
     mutations = st.one_of(
         st.tuples(st.just("flip"), st.integers(0, 8 * len(blob) - 1)),
         st.tuples(st.just("flip"), st.integers(8 * body_start, 8 * len(blob) - 1)),   # the body
         st.tuples(st.just("truncate"), st.integers(0, len(blob) - 1)),
         st.tuples(st.just("append"), st.binary(min_size=1, max_size=32)),
         st.tuples(st.just("length"), st.one_of(st.integers(0, len(blob)),
-                                               st.integers(0, 2**64 - 1))))
+                                               st.integers(0, 2**64 - 1))),
+        st.tuples(st.just("width"), st.tuples(st.sampled_from(DIMS_WIDTHS),
+                                              st.integers(0, 2**64 - 1))),
+        st.tuples(st.just("digest"), st.tuples(st.sampled_from(["values", "moments"]),
+                                               st.text())))
 
     @settings(derandomize=True, deadline=None, max_examples=300, database=None)
     @given(mutations)
@@ -1185,8 +1198,19 @@ def test_fuzzed_checkpoint_loads_exactly_or_is_refused(tmp_path):
             del data[arg:]
         elif kind == "append":
             data += arg
-        else:
+        elif kind == "length":
             data[8:16] = struct.pack("<Q", arg)
+        else:
+            edited = json.loads(blob[16:body_start])
+            key, value = arg
+            if kind == "digest":
+                edited["body_sha256"][key] = value
+            elif isinstance(key, tuple):
+                edited["config"]["dims"][key[0]][key[1]] = value
+            else:
+                edited["config"]["dims"][key] = value
+            encoded = json.dumps(edited).encode("utf-8")
+            data[8:body_start] = struct.pack("<Q", len(encoded)) + encoded
         path.write_bytes(data)
         try:
             assert load_model(path).registry.data.tobytes() == saved
