@@ -14,6 +14,7 @@ a JSON config file, then command-line flags.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -35,6 +36,7 @@ from .dataio import (
     build_vocab_from_file,
     file_sha256,
     generate_synthetic,
+    iter_corpus,
     load_corpus,
     make_batches,
     read_raw_corpus,
@@ -324,15 +326,23 @@ def _load_for_inference(args, corpus: str):
     return model, data_path
 
 
+def _batches(docs, model):
+    """The model's inference batches of `docs`, each made when it is consumed,
+    so that one batch of the input is held at a time."""
+    docs = iter(docs)
+    while chunk := list(itertools.islice(docs, model.config.batch_size)):
+        yield from make_batches(chunk, model.config.batch_size, model.config.max_len, model.tax)
+
+
 def cmd_eval(args) -> int:
     model, data_path = _load_for_inference(args, "evaluation corpus")
-    docs = load_corpus(data_path, model.vocab, model.tax)
-    batches = make_batches(docs, model.config.batch_size, model.config.max_len, model.tax)
-    metrics = evaluate(batches, model)
+    read = itertools.count()        # zip draws from it once per document
+    docs = (doc for doc, _ in zip(iter_corpus(data_path, model.vocab, model.tax), read))
+    metrics = evaluate(_batches(docs, model), model)
     _table([("micro F1", f"{metrics['micro_f1']:.4f}"),
             ("macro F1", f"{metrics['macro_f1']:.4f}"),
             ("L_c", f"{metrics['L_c']:.6f}"),
-            ("documents", len(docs))], f"evaluation of {data_path}")
+            ("documents", next(read))], f"evaluation of {data_path}")
     print(_json(metrics))
     return 0
 
@@ -341,15 +351,17 @@ def cmd_predict(args) -> int:
     model, data_path = _load_for_inference(args, "input corpus")
     names = model.tax.target_names()
     # labels are optional here and ignored: every document gets an empty label set
-    docs = [Document(tokens=model.vocab.encode(tokens), labels=frozenset())
-            for _, tokens, _ in read_raw_corpus(data_path)]
-    batches = make_batches(docs, model.config.batch_size, model.config.max_len, model.tax)
+    docs = (Document(tokens=model.vocab.encode(tokens), labels=frozenset())
+            for _, tokens, _ in read_raw_corpus(data_path))
     # the bytes of json.dumps(record, sort_keys=True) per record, one write per
     # batch: the keys are sorted once here, and "labels" < "probs" already
     order = sorted(range(len(names)), key=names.__getitem__)
     sorted_names = [names[j] for j in order]
     encode = json.JSONEncoder(allow_nan=False).encode
-    for _, preds in iter_predictions(batches, model):
+    # records go out a batch at a time: a malformed line refuses the input
+    # after the records of the batches before its own
+    written = 0
+    for _, preds in iter_predictions(_batches(docs, model), model):
         try:
             lines = "".join(
                 encode({"labels": [name for name, d in zip(names, decisions) if d >= 1.0],
@@ -358,7 +370,8 @@ def cmd_predict(args) -> int:
         except ValueError as err:
             raise NumericError(f"cannot write a prediction as JSON: {err}") from None
         sys.stdout.write(lines)
-    log.info("predicted %d documents", len(docs))
+        written += len(preds.probs)
+    log.info("predicted %d documents", written)
     return 0
 
 

@@ -204,14 +204,14 @@ def build_vocab_from_file(path) -> Vocabulary:
     return build_vocab(tokens for _, tokens, _ in read_raw_corpus(path))
 
 
-def load_corpus(path, vocab: Vocabulary, tax: Taxonomy) -> list[Document]:
-    """Map a JSON-lines corpus into documents of token ids and label ids.
+def iter_corpus(path, vocab: Vocabulary, tax: Taxonomy):
+    """Map a JSON-lines corpus into documents of token ids and label ids,
+    one line at a time as they are read.
 
     Unknown tokens become UNK; a missing, empty or non-list label field and
     unknown or root label names are data errors reported with the
     offending line number.
     """
-    docs = []
     name_to_id = {name: i for i, name in enumerate(tax.labels)}
     for lineno, tokens, record in read_raw_corpus(path):
         label_names = record.get("label")
@@ -226,8 +226,12 @@ def load_corpus(path, vocab: Vocabulary, tax: Taxonomy) -> list[Document]:
             if name_to_id[name] == tax.root:
                 raise DataError(f"{path}:{lineno}: the root is not a valid document label")
             label_ids.add(name_to_id[name])
-        docs.append(Document(tokens=vocab.encode(tokens), labels=frozenset(label_ids)))
-    return docs
+        yield Document(tokens=vocab.encode(tokens), labels=frozenset(label_ids))
+
+
+def load_corpus(path, vocab: Vocabulary, tax: Taxonomy) -> list[Document]:
+    """Every document of `iter_corpus`, as a list."""
+    return list(iter_corpus(path, vocab, tax))
 
 
 @dataclass

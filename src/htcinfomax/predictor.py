@@ -58,11 +58,6 @@ def bce_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     return ad.mean(per_cell)
 
 
-def _f1(tp: float, fp: float, fn: float) -> float:
-    denom = 2.0 * tp + fp + fn
-    return 2.0 * tp / denom if denom > 0 else 0.0
-
-
 def confusion_counts(decisions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-label (TP, FP, FN) count vectors."""
     decisions = np.asarray(decisions)
@@ -75,13 +70,21 @@ def confusion_counts(decisions: np.ndarray, targets: np.ndarray) -> tuple[np.nda
     return tp, fp, fn
 
 
+def f1_from_counts(tp, fp, fn) -> tuple[float, float]:
+    """Micro and macro F1 of per-label (TP, FP, FN) count vectors; in the
+    macro mean a label whose counts are all zero scores 0."""
+    denom = 2.0 * tp + fp + fn
+    total = denom.sum()
+    micro = 2.0 * tp.sum() / total if total > 0 else 0.0
+    per_label = np.divide(2.0 * tp, denom, out=np.zeros(denom.shape), where=denom > 0)
+    return float(micro), float(per_label.mean())
+
+
 def micro_f1(decisions: np.ndarray, targets: np.ndarray) -> float:
     """F1 of confusion counts pooled over all labels."""
-    tp, fp, fn = confusion_counts(decisions, targets)
-    return float(_f1(tp.sum(), fp.sum(), fn.sum()))
+    return f1_from_counts(*confusion_counts(decisions, targets))[0]
 
 
 def macro_f1(decisions: np.ndarray, targets: np.ndarray) -> float:
     """Unweighted mean of per-label F1; an all-zero label contributes 0."""
-    tp, fp, fn = confusion_counts(decisions, targets)
-    return float(np.mean([_f1(t, p, n) for t, p, n in zip(tp, fp, fn)]))
+    return f1_from_counts(*confusion_counts(decisions, targets))[1]

@@ -43,7 +43,7 @@ from .infomax import (
     sample_prior,
     total_loss,
 )
-from .predictor import Predictions, PredictorHead, bce_loss, macro_f1, micro_f1
+from .predictor import Predictions, PredictorHead, bce_loss, f1_from_counts
 from .taxonomy import Taxonomy, normalized_adjacency, parse_taxonomy, serialize_taxonomy
 
 CHECKPOINT_MAGIC = b"HTCIMAX1"
@@ -438,26 +438,24 @@ def iter_predictions(batches: Iterable[Batch], model: Model) -> Iterator[tuple[B
         yield batch, preds
 
 
-def evaluate(batches: list[Batch], model: Model) -> dict:
-    """Pooled micro/macro F1 plus mean classification loss; mutates nothing."""
-    if not batches:
-        raise DataError("evaluate called with an empty dataset")
-    all_decisions = []
-    all_targets = []
+def evaluate(batches: Iterable[Batch], model: Model) -> dict:
+    """Pooled micro/macro F1 plus mean classification loss over one pass of
+    `batches`, which may be lazy: each batch adds to per-label counts and is
+    dropped.  Mutates nothing."""
+    tp = decided = true = np.zeros(model.num_labels)
     loss_sum = 0.0
     cell_count = 0
     for batch, preds in iter_predictions(batches, model):
-        all_decisions.append(preds.decisions)
-        all_targets.append(batch.targets)
+        # decisions and targets are 0/1, so these sums are exact counts
+        tp = tp + (preds.decisions * batch.targets).sum(axis=0)
+        decided = decided + preds.decisions.sum(axis=0)
+        true = true + batch.targets.sum(axis=0)
         loss_sum += bce_loss(preds.logits, batch.targets).item() * batch.targets.size
         cell_count += batch.targets.size
-    decisions = np.concatenate(all_decisions, axis=0)
-    targets = np.concatenate(all_targets, axis=0)
-    return {
-        "micro_f1": micro_f1(decisions, targets),
-        "macro_f1": macro_f1(decisions, targets),
-        "L_c": loss_sum / cell_count,
-    }
+    if not cell_count:
+        raise DataError("evaluate called with an empty dataset")
+    micro, macro = f1_from_counts(tp, decided - tp, true - tp)
+    return {"micro_f1": micro, "macro_f1": macro, "L_c": loss_sum / cell_count}
 
 
 @dataclass
@@ -691,17 +689,21 @@ def restore_checkpoint(path, model: Model, optimizer: Adam) -> tuple[int, int]:
     Returns (epochs_completed, global_step), and sets `optimizer.t` to the
     latter.  A parameter whose name or shape differs between the header's
     layout and the model raises CheckpointError naming it before any value
-    moves.  A body refused part-way leaves the model and the optimizer
-    part-written: the caller discards both, as `run_training` does when
-    this raises."""
+    moves, and so does a taxonomy or vocabulary unlike the model's.  A body
+    refused part-way leaves the model and the optimizer part-written: the
+    caller discards both, as `run_training` does when this raises."""
     with _open_checkpoint(path) as fh:
-        header, _, layout, _ = _read_header(fh, path)
+        header, (tax, vocab, _), layout, _ = _read_header(fh, path)
         expected = {name: p.shape for name, p in model.registry.items()}
         for name in {**expected, **layout}:
             if layout.get(name) != expected.get(name):
                 raise CheckpointError(
                     f"{path} does not fit this model, which expects parameter {name!r} of shape "
                     f"{expected.get(name)}, its body holds {layout.get(name)}")
+        # equal shapes can hold rows of other tokens or nodes of other labels
+        for what, theirs, ours in (("taxonomy", tax, model.tax), ("vocabulary", vocab, model.vocab)):
+            if theirs != ours:
+                raise CheckpointError(f"{path} does not fit this model: its {what} differs")
         _read_body(fh, path, header, model.registry, optimizer)
     optimizer.t = header["progress"]["global_step"]
     return header["progress"]["epochs_completed"], header["progress"]["global_step"]

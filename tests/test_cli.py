@@ -13,7 +13,7 @@ from htcinfomax import autodiff as ad
 from htcinfomax import cli, trainer
 from htcinfomax.dataio import (Document, GeneratorConfig, load_corpus, make_batches,
                                read_raw_corpus)
-from htcinfomax.trainer import iter_predictions, load_model
+from htcinfomax.trainer import evaluate, iter_predictions, load_model
 
 TINY_TRAIN_CONFIG = {
     "epochs": 2,
@@ -687,6 +687,60 @@ def test_predict_malformed_record_is_data_error(workspace, tmp_path, capsys, rec
                    "--data", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().out == ""
+
+
+def test_predict_malformed_line_in_a_later_batch_follows_the_earlier_records(
+        workspace, tmp_path, capsys):
+    # records go out a batch at a time: the first batch's before the refusal
+    size = TINY_TRAIN_CONFIG["batch_size"]
+    good = (workspace["data"] / "test.jsonl").read_text(encoding="utf-8").splitlines()[:size + 1]
+    first = tmp_path / "first.jsonl"
+    first.write_text("".join(line + "\n" for line in good[:size]), encoding="utf-8")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(line + "\n" for line in good) + "not json\n", encoding="utf-8")
+    rc = cli.main(["predict", "--checkpoint", str(workspace["checkpoint"]),
+                   "--data", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == reference_predict_output(workspace["checkpoint"], first)
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {bad}:{size + 2}: malformed JSON (Expecting value)"]
+
+
+def test_eval_and_predict_read_at_most_one_batch_ahead(workspace, tmp_path, capsys, monkeypatch):
+    size = TINY_TRAIN_CONFIG["batch_size"]
+    forwarded = []
+    forward = trainer.Model.forward
+
+    def counted(self, batch, *rest):
+        forwarded.append(batch.size)
+        return forward(self, batch, *rest)
+
+    def lazy(source):
+        """`source`, failing when an item is read a whole batch ahead of the forwards."""
+        def read(*args):
+            for n, item in enumerate(source(*args)):
+                assert n < sum(forwarded) + size, f"item {n} read with {sum(forwarded)} forwarded"
+                yield item
+        return read
+
+    monkeypatch.setattr(trainer.Model, "forward", counted)
+    monkeypatch.setattr(cli, "iter_corpus", lazy(cli.iter_corpus))
+    monkeypatch.setattr(cli, "read_raw_corpus", lazy(cli.read_raw_corpus))
+    path = workspace["data"] / "train.jsonl"
+    model = load_model(workspace["checkpoint"])
+    docs = load_corpus(path, model.vocab, model.tax)
+    assert len(docs) > 3 * size
+    outputs = []
+    for command in ("eval", "predict"):
+        forwarded.clear()
+        assert cli.main([command, "--checkpoint", str(workspace["checkpoint"]),
+                         "--data", str(path), "--out", str(tmp_path)]) == 0
+        assert sum(forwarded) == len(docs)
+        outputs.append(capsys.readouterr().out)
+    batches = make_batches(docs, size, model.config.max_len, model.tax)
+    assert json.loads(outputs[0]) == evaluate(batches, model)
+    assert outputs[1] == reference_predict_output(workspace["checkpoint"], path)
 
 
 def test_predict_emits_the_decisions_evaluate_scores(workspace, tmp_path, capsys):

@@ -22,6 +22,7 @@ from htcinfomax.dataio import (ConfigError, DataError, Document, GeneratorConfig
                                Vocabulary, build_vocab_from_file, file_sha256,
                                generate_synthetic, load_corpus, make_batches)
 from htcinfomax.infomax import NumericError
+from htcinfomax.predictor import macro_f1, micro_f1
 from htcinfomax.taxonomy import load_taxonomy, parse_taxonomy
 from htcinfomax.trainer import (
     ADAM_BETA1,
@@ -514,6 +515,8 @@ def test_evaluate_requires_data():
     model = Model(TAX, VOCAB, tiny_config())
     with pytest.raises(DataError):
         evaluate([], model)
+    with pytest.raises(DataError):
+        evaluate(iter([]), model)
 
 
 def test_evaluate_is_pure_and_deterministic():
@@ -521,11 +524,16 @@ def test_evaluate_is_pure_and_deterministic():
     batches = make_batches(tiny_docs(6), 2, 8, TAX)
     before = {n: p.data.copy() for n, p in model.registry.items()}
     first = evaluate(batches, model)
-    second = evaluate(batches, model)
+    second = evaluate(iter(batches), model)     # one pass over a lazy input
     assert first == second
     for n, p in model.registry.items():
         assert np.array_equal(before[n], p.data)
     assert set(first) == {"micro_f1", "macro_f1", "L_c"}
+    # the counts summed over three batches give the F1s of the whole arrays exactly
+    decisions = np.concatenate([preds.decisions for _, preds in iter_predictions(batches, model)])
+    targets = np.concatenate([b.targets for b in batches])
+    assert first["micro_f1"] == micro_f1(decisions, targets)
+    assert first["macro_f1"] == macro_f1(decisions, targets)
 
 
 def test_evaluate_computes_label_representations_once(monkeypatch):
@@ -1122,6 +1130,23 @@ def test_checkpoint_shape_mismatch_names_parameter(tmp_path):
         prior_hidden=(5, 3), text_kernels=(2, 3, 4))))
     with pytest.raises(CheckpointError, match=r"parameter 'text\.embedding' of shape \(10, 8\)"):
         restore_checkpoint(path, bigger, Adam(bigger.registry, 1e-2))
+
+
+@pytest.mark.parametrize("differs", ["taxonomy", "vocabulary"])
+def test_checkpoint_of_other_labels_or_tokens_is_refused_before_any_block(tmp_path, differs):
+    # the same sizes, so every parameter has the checkpoint's shape
+    other_tax = parse_taxonomy("Root\tx\ty\nx\tx1\tx2\ny\ty1\n")
+    other_vocab = Vocabulary({f"w{i}" if i > 1 else ("<pad>", "<unk>")[i]: i for i in range(10)})
+    path = tmp_path / "m.ckpt"
+    trained_checkpoint(path)
+    target = Model(other_tax if differs == "taxonomy" else TAX,
+                   other_vocab if differs == "vocabulary" else VOCAB, tiny_config())
+    opt = Adam(target.registry, 1e-2)
+    before = [target.registry.data.copy(), opt.m.copy(), opt.v.copy()]
+    with pytest.raises(CheckpointError, match=f"does not fit this model: its {differs} differs"):
+        restore_checkpoint(path, target, opt)
+    assert all(np.array_equal(a, b) for a, b in zip(before, [target.registry.data, opt.m, opt.v]))
+    assert opt.t == 0
 
 
 def trained_checkpoint(path):
