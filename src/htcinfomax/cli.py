@@ -274,12 +274,11 @@ def cmd_train(args) -> int:
     val_docs = load_corpus(val_path, vocab, tax) if val_path else []
 
     runs = []
-    stream = sys.stderr if log.isEnabledFor(logging.DEBUG) else None
     for seed, config in plans:
         Path(config.log_path).unlink(missing_ok=True)
         log.info("training seed %d (%d epochs, batch %d, lr %g)",
                  seed, config.epochs, config.batch_size, config.learning_rate)
-        result = run_training(train_docs, val_docs, tax, vocab, config, log_stream=stream)
+        result = run_training(train_docs, val_docs, tax, vocab, config)
         final = result.records[-1] if result.records else {}
         runs.append({
             "seed": seed,

@@ -59,15 +59,14 @@ def bce_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def confusion_counts(decisions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-label (TP, FP, FN) count vectors."""
+    """Per-label (TP, FP, FN) count vectors of 0/1 decisions and targets,
+    whose sums are exact counts."""
     decisions = np.asarray(decisions)
     targets = np.asarray(targets)
     if decisions.shape != targets.shape:
         raise ad.DimensionError(f"decisions {decisions.shape} vs targets {targets.shape}")
-    tp = ((decisions == 1) & (targets == 1)).sum(axis=0)
-    fp = ((decisions == 1) & (targets == 0)).sum(axis=0)
-    fn = ((decisions == 0) & (targets == 1)).sum(axis=0)
-    return tp, fp, fn
+    tp = (decisions * targets).sum(axis=0)
+    return tp, decisions.sum(axis=0) - tp, targets.sum(axis=0) - tp
 
 
 def f1_from_counts(tp, fp, fn) -> tuple[float, float]:

@@ -33,6 +33,7 @@ class Taxonomy:
     root: int
     children: dict[int, list[int]]
     depth: int
+    text: str = field(compare=False, repr=False)    # what parse_taxonomy read; checkpoints store it
     parents: dict[int, list[int]] = field(default_factory=dict)
 
     @property
@@ -155,7 +156,8 @@ def parse_taxonomy(text: str) -> Taxonomy:
         raise TaxonomyError(f"cycle detected: {' -> '.join(labels[n] for n in cycle)}")
 
     depth = max(depth_of.values())
-    return Taxonomy(labels=labels, root=root, children=children, depth=depth, parents=parents)
+    return Taxonomy(labels=labels, root=root, children=children, depth=depth, text=text,
+                    parents=parents)
 
 
 def load_taxonomy(path) -> Taxonomy:
@@ -165,29 +167,6 @@ def load_taxonomy(path) -> Taxonomy:
         except UnicodeDecodeError as err:
             raise TaxonomyError(f"taxonomy {path} is not UTF-8 text ({err.reason})") from None
     return parse_taxonomy(text)
-
-
-def serialize_taxonomy(tax: Taxonomy) -> str:
-    """Inverse of parse_taxonomy, ids and the order of each node's children
-    and parents included: each label alone on a line in id order, then
-    passes over the nodes in id order, each writing a node's next children
-    up to the first whose earlier parents are unwritten (a tree: one line
-    per node with children).  Each pass writes the earliest unwritten edge
-    of the parsed file, so the passes end."""
-    lines = list(tax.labels)
-    kids_done = dict.fromkeys(range(tax.num_nodes), 0)
-    parents_done = dict.fromkeys(range(tax.num_nodes), 0)
-    while any(kids_done[node] < len(kids) for node, kids in tax.children.items()):
-        for node in range(tax.num_nodes):
-            kids = tax.children.get(node, [])
-            start = end = kids_done[node]
-            while end < len(kids) and tax.parents[kids[end]][parents_done[kids[end]]] == node:
-                parents_done[kids[end]] += 1
-                end += 1
-            if end > start:
-                lines.append("\t".join([tax.labels[node]] + [tax.labels[c] for c in kids[start:end]]))
-                kids_done[node] = end
-    return "\n".join(lines) + "\n"
 
 
 def normalized_adjacency(tax: Taxonomy) -> Tensor:

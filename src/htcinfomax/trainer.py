@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
+import logging
 import math
 import os
 import re
@@ -43,14 +43,14 @@ from .infomax import (
     sample_prior,
     total_loss,
 )
-from .predictor import Predictions, PredictorHead, bce_loss, f1_from_counts
-from .taxonomy import Taxonomy, normalized_adjacency, parse_taxonomy, serialize_taxonomy
+from .predictor import Predictions, PredictorHead, bce_loss, confusion_counts, f1_from_counts
+from .taxonomy import Taxonomy, normalized_adjacency, parse_taxonomy
 
 CHECKPOINT_MAGIC = b"HTCIMAX1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
-# each kind of body block, in body order, and the body_sha256 digest that covers it
-_BODY_KINDS = {"values": "values", "Adam's m": "moments", "Adam's v": "moments"}
+
+log = logging.getLogger(__name__)
 
 
 class CheckpointError(RuntimeError):
@@ -442,19 +442,16 @@ def evaluate(batches: Iterable[Batch], model: Model) -> dict:
     """Pooled micro/macro F1 plus mean classification loss over one pass of
     `batches`, which may be lazy: each batch adds to per-label counts and is
     dropped.  Mutates nothing."""
-    tp = decided = true = np.zeros(model.num_labels)
+    counts = np.zeros((3, model.num_labels))       # TP, FP and FN per label
     loss_sum = 0.0
     cell_count = 0
     for batch, preds in iter_predictions(batches, model):
-        # decisions and targets are 0/1, so these sums are exact counts
-        tp = tp + (preds.decisions * batch.targets).sum(axis=0)
-        decided = decided + preds.decisions.sum(axis=0)
-        true = true + batch.targets.sum(axis=0)
+        counts += confusion_counts(preds.decisions, batch.targets)
         loss_sum += bce_loss(preds.logits, batch.targets).item() * batch.targets.size
         cell_count += batch.targets.size
     if not cell_count:
         raise DataError("evaluate called with an empty dataset")
-    micro, macro = f1_from_counts(tp, decided - tp, true - tp)
+    micro, macro = f1_from_counts(*counts)
     return {"micro_f1": micro, "macro_f1": macro, "L_c": loss_sum / cell_count}
 
 
@@ -470,7 +467,7 @@ class TrainResult:
 def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxonomy,
                  vocab: Vocabulary, config: TrainConfig,
                  resume_from: str | None = None,
-                 stop_when=None, log_stream=None, on_step=None) -> TrainResult:
+                 stop_when=None, on_step=None) -> TrainResult:
     """Train for config.epochs, logging one JSON record per epoch.
 
     `stop_when(record)` may end training early (used by calibration runs);
@@ -524,8 +521,7 @@ def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxo
             if log_fh:
                 log_fh.write(line + "\n")
                 log_fh.flush()
-            if log_stream:
-                print(line, file=log_stream, flush=True)
+            log.debug("%s", line)
             epochs_completed = epoch + 1
             if stop_when is not None and stop_when(record):
                 break
@@ -543,13 +539,13 @@ def run_training(train_docs: list[Document], val_docs: list[Document], tax: Taxo
 # -- persistence ----------------------------------------------------------------
 
 
-def _body_order(registry: ParamRegistry, optimizer: Adam | None):
-    """(name, kind, block) per body block in body order, per parameter: its
-    values, Adam's m and v as arena views, the moments None without an optimizer."""
-    flats = (registry.data,) if optimizer is None else (registry.data, optimizer.m, optimizer.v)
-    for name, *blocks in zip(registry.names(), *map(registry.views, flats)):
-        for kind, block in itertools.zip_longest(_BODY_KINDS, blocks):
-            yield name, kind, block
+def _body_sections(registry: ParamRegistry, optimizer: Adam | None):
+    """(body_sha256 part, kind, arena vector) per body section in body order:
+    the values, then Adam's m, then Adam's v; without an optimizer the values."""
+    yield "values", "values", registry.data
+    if optimizer is not None:
+        yield "moments", "Adam's m", optimizer.m
+        yield "moments", "Adam's v", optimizer.v
 
 
 def save_checkpoint(path, model: Model, optimizer: Adam,
@@ -558,28 +554,30 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
 
     The header stores the version, the resolved config with null output
     paths (so the bytes do not depend on where they are written), the
-    progress, vocabulary, serialized taxonomy, and `body_sha256`: one
-    SHA-256 over the value blocks and one over the moment blocks, each in
-    body order.  The body stores each parameter's values, first and second
-    moments, in registry order; the reader derives that layout from the
-    config.  `global_step` must be `optimizer.t`, since the reader restores
-    Adam's step count from it.
+    progress, vocabulary, the text the taxonomy was parsed from (parsing it
+    again gives every label its id), and `body_sha256`: one SHA-256 over
+    the values section and one over the two moment sections.  The body
+    holds three unpadded sections, each one block per parameter in
+    registry order: the values, then Adam's m, then Adam's v; the reader
+    derives that layout from the config.  `global_step` must be
+    `optimizer.t`, since the reader restores Adam's step count from it.
     """
     if global_step != optimizer.t:
         raise ad.ContractError(f"global_step {global_step} is not the optimizer's step count "
                                f"{optimizer.t}, which a checkpoint restores from it")
-    # C-ordered little-endian float64 already, so neither hashing nor writing copies a block
-    blocks = [(kind, np.ascontiguousarray(block, dtype="<f8"))
-              for _, kind, block in _body_order(model.registry, optimizer)]
     digests = {"values": hashlib.sha256(), "moments": hashlib.sha256()}
-    for kind, block in blocks:
-        digests[_BODY_KINDS[kind]].update(block)
+    blocks = []
+    for part, _, flat in _body_sections(model.registry, optimizer):
+        for block in model.registry.views(flat):
+            # C-ordered little-endian float64 already, so neither hashing nor writing copies it
+            blocks.append(np.ascontiguousarray(block, dtype="<f8"))
+            digests[part].update(blocks[-1])
     header = {
         "version": CHECKPOINT_VERSION,
         "config": {**model.config.to_dict(), "checkpoint_path": None, "log_path": None},
         "progress": {"epochs_completed": epochs_completed, "global_step": global_step},
         "vocab": model.vocab.to_json(),
-        "taxonomy": serialize_taxonomy(model.tax),
+        "taxonomy": model.tax.text,
         "body_sha256": {part: digest.hexdigest() for part, digest in digests.items()},
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -590,7 +588,7 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for _, block in blocks:
+        for block in blocks:
             fh.write(block)
 
 
@@ -647,7 +645,7 @@ def _read_header(fh, path) -> tuple[dict, tuple, dict[str, tuple[int, ...]], str
         layout = param_shapes(config, len(vocab), tax)
     except (ValueError, AttributeError, KeyError, TypeError) as err:
         raise CheckpointError(f"{path} has a malformed header: {err!r}") from None
-    expected = 3 * 8 * sum(map(math.prod, layout.values()))     # values, m and v blocks
+    expected = 3 * 8 * sum(map(math.prod, layout.values()))     # the values, m and v sections
     actual = size - body_start
     if actual < expected:
         raise CheckpointError(f"{path} is truncated or has a corrupt header: the header "
@@ -658,27 +656,27 @@ def _read_header(fh, path) -> tuple[dict, tuple, dict[str, tuple[int, ...]], str
 
 
 def _read_body(fh, path, header: dict, registry: ParamRegistry, optimizer: Adam | None):
-    """Stream the body, whose layout is the registry's, into the arena and the
-    optimizer's moments: each block is read with `readinto` into its arena
-    view, hashed and refused if it holds a NaN or an infinity.  Without an
-    optimizer the moment blocks are skipped unread and their digest unchecked."""
-    digests = {"values": hashlib.sha256(), "moments": hashlib.sha256()}
-    for name, kind, block in _body_order(registry, optimizer):
-        if block is None:
-            fh.seek(8 * registry[name].data.size, os.SEEK_CUR)
-            continue
-        flat = block.reshape(-1)        # the contiguous arena block itself
-        if fh.readinto(flat) != flat.nbytes:
-            raise CheckpointError(f"{path} is truncated: the body ended inside "
-                                  f"parameter {name!r}")
-        digests[_BODY_KINDS[kind]].update(flat)
-        if sys.byteorder != "little":     # the body is little-endian
-            flat.byteswap(inplace=True)
-        if not np.isfinite(flat).all():
-            raise CheckpointError(f"{path} holds a non-finite number in the {kind} "
-                                  f"of parameter {name!r}")
-    for part in ("values", "moments") if optimizer is not None else ("values",):
-        if digests[part].hexdigest() != header["body_sha256"][part]:
+    """Stream the body, whose layout is the registry's, section by section into
+    the arena and the optimizer's moments: each block is read with `readinto`
+    into its arena view, hashed and refused if it holds a NaN or an infinity.
+    Without an optimizer only the values section, a prefix of the body, is
+    read, and the moments' digest is unchecked."""
+    digests = {}
+    for part, kind, vector in _body_sections(registry, optimizer):
+        digest = digests.setdefault(part, hashlib.sha256())
+        for name, block in zip(registry.names(), registry.views(vector)):
+            flat = block.reshape(-1)        # the contiguous arena block itself
+            if fh.readinto(flat) != flat.nbytes:
+                raise CheckpointError(f"{path} is truncated: the body ended inside "
+                                      f"parameter {name!r}")
+            digest.update(flat)
+            if sys.byteorder != "little":     # the body is little-endian
+                flat.byteswap(inplace=True)
+            if not np.isfinite(flat).all():
+                raise CheckpointError(f"{path} holds a non-finite number in the {kind} "
+                                      f"of parameter {name!r}")
+    for part, digest in digests.items():
+        if digest.hexdigest() != header["body_sha256"][part]:
             raise CheckpointError(f"{path} is corrupt: the digest of its {part} blocks does "
                                   "not match the header's body_sha256")
 

@@ -4,7 +4,10 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -870,6 +873,26 @@ def test_invalid_log_env_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("HTCIM_LOG", "shouty")
     assert cli.main(["gendata", "--out", "ignored"]) == 2
     assert "HTCIM_LOG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["debug", "info"])
+def test_debug_log_streams_each_epoch_record(workspace, tmp_path, level):
+    # a process of its own, so HTCIM_LOG configures the root logger as a user's run does
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "HTCIM_LOG": level,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "htcinfomax.cli", "train",
+                          "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                          "--out", str(tmp_path / "r")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    prefix = "DEBUG htcinfomax.trainer: "
+    streamed = [json.loads(line.removeprefix(prefix)) for line in run.stderr.splitlines()
+                if line.startswith(prefix)]
+    logged = [json.loads(line) for line in
+              (tmp_path / "r" / "train_log.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(logged) == TINY_TRAIN_CONFIG["epochs"]
+    assert streamed == (logged if level == "debug" else [])
 
 
 def test_version_flag(capsys):

@@ -661,6 +661,38 @@ def test_checkpoint_restores_values_and_adam_state(tmp_path):
     assert fresh_opt.t == opt.t == 2
 
 
+# name: (taxonomy text, its labels in id order)
+ROUND_TRIP_TAXONOMIES = {
+    "sample": ("Root\tscience\tsports\nscience\tphysics\tbiology\nsports\tsoccer\n",
+               ["Root", "science", "sports", "physics", "biology", "soccer"]),
+    # b's children are listed before a's, so they take the lower ids
+    "later-branch-first": ("Root\ta\tb\nb\tb1\tb2\na\ta1\ta2\n",
+                           ["Root", "a", "b", "b1", "b2", "a1", "a2"]),
+    # c's line under b comes first, so b is c's first parent although a has the lower id
+    "dag": ("Root\ta\tb\nb\tc\na\tc\tx\n", ["Root", "a", "b", "c", "x"]),
+    "unicode-line-break": ("Root\ta\x85b\tc\na\x85b\td\n", ["Root", "a\x85b", "c", "d"]),
+}
+
+
+@pytest.mark.parametrize("text,labels", ROUND_TRIP_TAXONOMIES.values(),
+                         ids=ROUND_TRIP_TAXONOMIES.keys())
+def test_checkpoint_gives_every_label_its_id_back(tmp_path, text, labels):
+    # the header keeps the taxonomy's own text, so the reader parses what training parsed
+    tax = parse_taxonomy(text)
+    assert tax.labels == labels
+    model = Model(tax, VOCAB, tiny_config())
+    path = tmp_path / "m.ckpt"
+    save_fresh(path, model)
+    again = load_model(path).tax
+    assert again.text == text
+    assert again.labels == tax.labels
+    # order included: each node's children and parents, and the nodes themselves
+    assert list(again.children.items()) == list(tax.children.items())
+    assert list(again.parents.items()) == list(tax.parents.items())
+    # restore_checkpoint, which refuses a taxonomy unlike the model's, accepts it
+    assert restore_checkpoint(path, model, Adam(model.registry, 1e-2)) == (0, 0)
+
+
 def test_load_model_rebuilds_from_header_alone(tmp_path):
     model = Model(TAX, VOCAB, tiny_config())
     path = tmp_path / "m.ckpt"
@@ -725,12 +757,12 @@ def test_checkpoint_format_is_pinned(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, opt, epochs_completed=1, global_step=1)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "3c973659edde1b7fa58124b087dd84394493fd17920c406b0db829850bb1db39"
+        "939a2a5a0a91dd1dc990de1cb15dc504468c57e6af1b684b4242e39faad0aa04"
 
 
 class CheckpointFile(io.BufferedReader):
     """A checkpoint file as `load_model` and `restore_checkpoint` open it, recording each open
-    in `opens` and the bytes its reads return in `bytes_read`.  `short`
+    in `opens`, the bytes its reads return in `bytes_read` and its seeks in `seeks`.  `short`
     returns half of each block read, as if the file shrank after its size
     was taken."""
 
@@ -738,7 +770,12 @@ class CheckpointFile(io.BufferedReader):
         super().__init__(io.FileIO(path, mode))
         opens.append(self)
         self.bytes_read = 0
+        self.seeks = 0
         self.short = short
+
+    def seek(self, *args):
+        self.seeks += 1
+        return super().seek(*args)
 
     def read(self, size=-1):
         data = super().read(size)
@@ -766,8 +803,9 @@ def test_checkpoint_is_read_once_into_the_arena(tmp_path, monkeypatch):
     param_bytes = sum(8 * p.data.size for _, p in model.registry.items())
     opens = watch_checkpoint_opens(monkeypatch)
     again = load_model(path)
-    # one open, and only the header and the parameter blocks are read: the moments are skipped
-    assert [f.bytes_read for f in opens] == [16 + header_length + param_bytes]
+    # one open, and only the header and the values section, a prefix of the
+    # body, are read: the reader stops before the moments and never seeks
+    assert [(f.bytes_read, f.seeks) for f in opens] == [(16 + header_length + param_bytes, 0)]
     assert again.registry.data.tobytes() == model.registry.data.tobytes()
     fresh = Model(TAX, VOCAB, tiny_config(seed=4))
     fresh_opt = Adam(fresh.registry, 1e-2)
@@ -836,15 +874,15 @@ def test_inference_reads_the_checkpoint_once_and_names_it_by_its_header(
 def body_blocks(blob) -> dict:
     """(parameter name, kind) -> the byte range of that block of a checkpoint,
     in body order, from the layout its header's config implies; kind 0 is
-    the values, 1 Adam's m and 2 Adam's v."""
+    the values section, 1 Adam's m and 2 Adam's v, each in registry order."""
     (length,) = struct.unpack("<Q", blob[8:16])
     header = json.loads(blob[16:16 + length])
     layout = param_shapes(TrainConfig.from_dict(header["config"]), len(header["vocab"]),
                           parse_taxonomy(header["taxonomy"]))
     blocks, offset = {}, 16 + length
-    for name, shape in layout.items():
-        size = 8 * math.prod(shape)
-        for kind in range(3):
+    for kind in range(3):
+        for name, shape in layout.items():
+            size = 8 * math.prod(shape)
             blocks[name, kind] = slice(offset, offset + size)
             offset += size
     return blocks
@@ -941,9 +979,10 @@ def test_checkpoint_holding_a_non_finite_number_is_refused_naming_the_parameter(
 
 
 def test_version_1_checkpoint_is_refused_naming_its_version(tmp_path):
-    # and version 2, which listed the parameters and Adam's step counts in its header
+    # and version 2, which listed the parameters and Adam's step counts in its
+    # header, and version 3, whose body interleaved each parameter's values, m and v
     model = Model(TAX, VOCAB, tiny_config())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         path = tmp_path / f"v{version}.ckpt"
         save_fresh(path, model)
 
@@ -957,7 +996,7 @@ def test_version_1_checkpoint_is_refused_naming_its_version(tmp_path):
         _rewrite_header(path, older)
         for read in both_readers(model):
             with pytest.raises(CheckpointError, match=f"is checkpoint format version {version}; "
-                                                      "this reader reads only version 3"):
+                                                      "this reader reads only version 4"):
                 read(path)
 
 
