@@ -495,24 +495,22 @@ def _sum_taps(out: np.ndarray, scratch: np.ndarray, taps, pos: np.ndarray):
             out += scratch
 
 
-def _unshift_taps(out: np.ndarray, gz: np.ndarray, at: np.ndarray, seq_len: int, branches):
-    """The adjoint of `_sum_taps` at the flat positions `at` (b*S + s):
-    out[j, block t] = the gradient of the output row that reads at[j]
-    through tap t, and zero where no output row does.  `gz` is the output
-    gradient as [B*S + 1, C] rows, the last one zero."""
-    s, none, src = at % seq_len, gz.shape[0] - 1, {}     # src: per shift d, the rows of gz
-    for kernel, _, cols, chans, spans in branches:
-        c_out = kernel.shape[2]
-        for t, d, lo, hi in spans:
-            if d not in src:
-                src[d] = np.where((s >= lo + d) & (s < hi + d), at - d, none)
-            out[:, cols.start + t * c_out:cols.start + (t + 1) * c_out] = gz[src[d], chans]
-    return out
+def _shift_taps(out: np.ndarray, table: np.ndarray, spans):
+    """out[b, s] = the sum over the k taps t of block t of table[b, s + t -
+    left], table [B, S, k*C_out] and out [B, S, C_out], in `_sum_taps`'
+    order: the centre tap first, then the others in ascending t, each added
+    as one shifted slice over the output rows its span reads inside the
+    sequence (a source outside it would add -0.0, exactly nothing)."""
+    c_out, left = out.shape[2], (len(spans) - 1) // 2
+    np.copyto(out, table[:, :, left * c_out:(left + 1) * c_out])
+    for t, d, lo, hi in spans:
+        if t != left:
+            out[:, lo:hi] += table[:, lo + d:hi + d, t * c_out:(t + 1) * c_out]
 
 
 def _check_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> tuple[int, int]:
-    """Check the table and kernel shapes; returns the number of taps, sum of
-    k, and the C_out that every kernel shares."""
+    """Check the table and kernel shapes; returns (sum of k, the C_out that
+    every kernel shares)."""
     if embedding.ndim != 2:
         raise DimensionError(f"token_conv expects a 2-D embedding table, got {embedding.shape}")
     c_in = embedding.shape[1]
@@ -575,32 +573,46 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     rows that the unmasked positions read, concatenated on the channel axis;
     zero, and passing no gradient, at the masked positions.
 
-    `embedding` is any [R, C_in] table: the vocabulary embedding with `ids`
-    the token ids, or a batch's features flattened to [B*S, C_in] with `ids`
-    set to the positions, `arange(B*S).reshape(B, S)`.  ids and mask are
-    [B, S]: position s of sequence b holds row ids[b, s] where mask[b, s]
-    is nonzero and a zero vector elsewhere, as does the padding outside the
-    sequence.  A branch's output at s is its bias plus, for each tap t of
-    its [k, C_in, C_out] kernel, tap t applied to the vector at
+    `embedding` is any [R, C_in] table.  With `ids` [B, S], position s of
+    sequence b reads row ids[b, s] (the vocabulary embedding and the token
+    ids).  With ids None the rows are the positions: row b*S + s is
+    position (b, s) and R = B*S (a batch's features flattened to
+    [B*S, C_in]).  mask is [B, S]: a position holds its row where mask[b,
+    s] is nonzero and a zero vector elsewhere, as does the padding outside
+    the sequence.  A branch's output at s is its bias plus, for each tap t
+    of its [k, C_in, C_out] kernel, tap t applied to the vector at
     s + t - left, left = (k - 1) // 2; the output is [B, S, sum of C_out].
 
     It is computed from a response table: with W every kernel laid out as
-    [C_in, k*C_out] side by side, R = E[rows] @ W projects each distinct
-    row once, and the output at s adds block t of the response read at
-    s + t - left.  Each branch sums its taps in a contiguous [B, S, C_out]
-    buffer, the centre tap first, then the others in ascending t, then adds
-    its bias on the way into its channels of the output.  Every kernel
-    shares one C_out.  Without `responses` the rows are the distinct ids
-    at unmasked positions.  `responses` (`token_responses`, tap-major)
-    covers every table row, so the responses a batch reads do not depend
-    on the other tokens of its batch; it is a constant, so the output then
-    records no graph, whatever the grad mode.
+    [C_in, k*C_out] side by side, R = E[rows] @ W projects each row once,
+    and the output at s adds block t of the response read at s + t - left.
+    Each branch sums its taps in a contiguous [B, S, C_out] buffer, the
+    centre tap first, then the others in ascending t, then adds its bias on
+    the way into its channels of the output.  Every kernel shares one
+    C_out.  With ids None the table covers every position, its masked rows
+    zero, and each tap adds a shifted slice of it (`_shift_taps`).  With
+    ids the rows are the distinct ids at unmasked positions, and each tap
+    is gathered (`_sum_taps`).  `responses` (`token_responses`, tap-major,
+    read by ids only) covers every table row, so the responses a batch
+    reads do not depend on the other tokens of its batch; it is a constant,
+    so the output then records no graph, whatever the grad mode.
+
+    The backward lays the output gradient out per position, [B, S, sum of
+    k*C_out]: block t of a branch at s is the gradient of the output at
+    s - t + left, zero where that lies outside the sequence.  With ids None
+    that is dR, the table rows' gradient, itself; with ids it is summed per
+    distinct row in `_occurrence_rounds`.
     """
-    ids = np.asarray(ids, dtype=np.int64)
     valid = np.asarray(mask) != 0
-    if ids.ndim != 2 or valid.shape != ids.shape:
-        raise DimensionError(f"token_conv: ids {ids.shape} and mask {valid.shape} must share one [B, S]")
-    batch, seq_len = ids.shape
+    if ids is not None:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape != valid.shape:
+            raise DimensionError(f"token_conv: ids {ids.shape} and mask {valid.shape} must share one [B, S]")
+    elif responses is not None:
+        raise ContractError("token_conv: a response table is read through ids, not with ids=None")
+    if valid.ndim != 2:
+        raise DimensionError(f"token_conv: mask {valid.shape} must be [B, S]")
+    batch, seq_len = valid.shape
     if seq_len < 1:
         raise DomainError("token_conv over an empty sequence")
     taps, c_out = _check_taps(embedding, kernels)
@@ -609,8 +621,18 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         raise DimensionError(f"token_conv: biases {[b.shape for b in biases]} do not match "
                              f"kernels {[k.shape for k in kernels]}")
     vocab = embedding.shape[0]
-    _check_ids(ids, vocab)
-    if responses is None:
+    if ids is not None:
+        _check_ids(ids, vocab)
+    elif vocab != batch * seq_len:
+        raise DimensionError(f"token_conv: {vocab} table rows are not the {batch}x{seq_len} "
+                             f"positions of mask {valid.shape}")
+    padded = not valid.all()
+    parents = (embedding, *kernels, *biases)
+    if ids is None:
+        x = np.where(valid.reshape(-1, 1), embedding.data, 0.0) if padded else embedding.data
+        w = _stacked_taps(kernels)
+        table, whole = (x @ w).reshape(batch, seq_len, width), True
+    elif responses is None:
         rows, inverse = np.unique(ids[valid], return_inverse=True)
         whole = rows.size == vocab         # then rows is every row: no copy of them
         x = embedding.data if whole else embedding.data[rows]
@@ -619,7 +641,6 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         blocks = [table[:, j:j + c_out] for j in range(0, width, c_out)]
         pos = np.full(ids.shape, rows.size)
         pos[valid] = inverse
-        parents = (embedding, *kernels, *biases)
     else:
         if responses.shape != (taps, vocab + 2, c_out):
             raise DimensionError(f"token_conv: responses {responses.shape} do not cover "
@@ -634,34 +655,46 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         col, chan = col + k * c_out, chan + c_out
     out = np.empty((batch, seq_len, chan))       # one branch (the MI conv1) sums in it
     acc = out if len(branches) == 1 else np.empty((batch, seq_len, c_out))
-    scratch = np.empty((batch, seq_len, c_out))
+    if ids is not None:
+        scratch = np.empty((batch, seq_len, c_out))
     for kernel, bias, cols, chans, spans in branches:
-        _sum_taps(acc, scratch, blocks[cols.start // c_out:cols.stop // c_out], pos)
+        if ids is None:
+            _shift_taps(acc, table[:, :, cols], spans)
+        else:
+            _sum_taps(acc, scratch, blocks[cols.start // c_out:cols.stop // c_out], pos)
         np.add(acc, bias.data, out=out[:, :, chans])
-    if not valid.all():         # times 1.0 would change nothing
+    if padded:          # times 1.0 would change nothing
         out *= valid[..., None]
 
-    def back(g):        # recorded only without `responses`, where rows, x and w are bound
-        gz = np.empty((batch * seq_len + 1, chan))
-        gz[-1] = 0.0
-        gm = gz[:-1].reshape(batch, seq_len, chan)
-        np.multiply(g, valid[..., None], out=gm)
+    def back(g):        # recorded only without `responses`, where x and w are bound
+        gm = g * valid[..., None] if padded else g
+        dy = np.empty((batch, seq_len, width))      # per position, each tap's output gradient
         for kernel, bias, cols, chans, spans in branches:
             _accum(bias, gm[:, :, chans].sum(axis=(0, 1)))
-        # sum per distinct row, in rounds that each write distinct rows: one
-        # gradient row per unmasked position, round after round; the first
-        # round holds every row once, in row order, so it is dR itself
-        flat = pos.reshape(-1)
-        at, sizes = _occurrence_rounds(flat, rows.size)
-        dy = _unshift_taps(np.empty((at.size, width)), gz, at, seq_len, branches)
-        dr, lo = dy[:rows.size], rows.size
-        for n in sizes[1:]:
-            dr[flat[at[lo:lo + n]]] += dy[lo:lo + n]
-            lo += n
+            for t, d, lo, hi in spans:      # output rows lo..hi-1 read lo+d..hi+d-1 (lo+d >= 0)
+                block = dy[:, :, cols.start + t * c_out:cols.start + (t + 1) * c_out]
+                block[:, :lo + d] = 0.0
+                block[:, lo + d:hi + d] = gm[:, lo:hi, chans]
+                block[:, hi + d:] = 0.0
+        dy = dy.reshape(batch * seq_len, width)
+        if ids is None:
+            dr = dy
+            if padded:
+                dr[~valid.reshape(-1)] = 0.0
+        else:
+            # sum per distinct row, in rounds that each write distinct rows:
+            # one gradient row per unmasked position, round after round; the
+            # first round holds every row once, in row order, so it is dR
+            flat = pos.reshape(-1)
+            at, sizes = _occurrence_rounds(flat, rows.size)
+            dr, lo = dy[at[:rows.size]], rows.size
+            for n in sizes[1:]:
+                dr[flat[at[lo:lo + n]]] += dy[at[lo:lo + n]]
+                lo += n
         if any(kernel.requires_grad for kernel, *_ in branches):
             dw = x.T @ dr
             for kernel, _, cols, _, _ in branches:
-                k, c_in, c_out = kernel.shape
+                k, c_in, _ = kernel.shape
                 _accum(kernel, dw[:, cols].reshape(c_in, k, c_out).transpose(1, 0, 2))
         if embedding.requires_grad:
             if whole:

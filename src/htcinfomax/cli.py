@@ -33,11 +33,11 @@ from .dataio import (
     Document,
     GeneratorConfig,
     _is_int,
-    build_vocab_from_file,
     file_sha256,
     generate_synthetic,
     iter_corpus,
     load_corpus,
+    load_training_corpus,
     make_batches,
     read_raw_corpus,
 )
@@ -136,9 +136,14 @@ def _write_manifest(out_dir, command: str, config: dict, inputs: dict, outputs: 
     if blas is not None:
         manifest["blas"] = blas
     path = out / MANIFEST_NAME
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    temp = path.with_name(f".{MANIFEST_NAME}.{os.getpid()}.tmp")
+    try:        # written whole beside it, then swapped in: a failed write keeps the old one
+        with open(temp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
     log.debug("wrote manifest %s", path)
     return path
 
@@ -269,8 +274,7 @@ def cmd_train(args) -> int:
                     {name: _hashed(p) for name, p in inputs.items()}, outputs, blas)
 
     tax = load_taxonomy(tax_path)
-    vocab = build_vocab_from_file(train_path)
-    train_docs = load_corpus(train_path, vocab, tax)
+    vocab, train_docs = load_training_corpus(train_path, tax)
     val_docs = load_corpus(val_path, vocab, tax) if val_path else []
 
     runs = []

@@ -84,18 +84,17 @@ class MIDiscriminator:
         Equal to masked_mean(conv2(h) + b2) with h = relu(conv1(x) + b1),
         zero on padded positions, so a document's result does not depend
         on how wide its batch was padded.  conv1 is a `token_conv` over the
-        rows of x with ids set to the positions: it skips the padded rows and
-        is zero there.  conv2 has no activation, so the mean is taken first:
-        tap t of conv2 sees h shifted by t - left, and the masked mean of
-        that shifted h is one row of a [k, S] weight matrix times h.  The
-        k shifted means, side by side, meet the flattened
-        [k*d_t, hidden] kernel in a [B, k*d_t] GEMM instead of the
-        [B*S, k*d_t] one of a convolution.
+        rows of x read as the positions (ids None): the padded rows read as
+        zero vectors, and its output is zero there.  conv2 has no
+        activation, so the mean is taken first: tap t of conv2 sees h
+        shifted by t - left, and the masked mean of that shifted h is one
+        row of a [k, S] weight matrix times h.  The k shifted means, side
+        by side, meet the flattened [k*d_t, hidden] kernel in a [B, k*d_t]
+        GEMM instead of the [B*S, k*d_t] one of a convolution.
         """
         batch, seq_len, channels = token_feats.shape
         rows = ad.reshape(token_feats, (batch * seq_len, channels))
-        h = ad.relu(ad.token_conv(rows, [self.conv1_kernel], [self.conv1_bias],
-                                  np.arange(batch * seq_len).reshape(batch, seq_len), mask))
+        h = ad.relu(ad.token_conv(rows, [self.conv1_kernel], [self.conv1_bias], None, mask))
         k, _, hidden = self.conv2_kernel.shape
         shifted = ad.bmm(Tensor(_shifted_mean_weights(mask, k)), h)
         flat = ad.reshape(shifted, (batch, k * channels))

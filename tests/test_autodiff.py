@@ -27,14 +27,13 @@ def fd(f, params, tol=1e-4):
 def conv1d(x, kernel, bias=None, mask=None):
     """A same-length 1-D convolution over x, [S, C] or [B, S, C], plus an
     optional bias, as the MI discriminator runs its conv1: `token_conv` over
-    x's rows with ids set to the positions, under a [B, S] or [S] mask (by
-    default none is masked)."""
+    x's rows read as the positions (ids None), under a [B, S] or [S] mask
+    (by default none is masked)."""
     *lead, seq_len, c_in = x.shape
     batch, c_out = (lead or [1])[0], kernel.shape[2]
-    positions = np.arange(batch * seq_len).reshape(batch, seq_len)
-    mask = np.ones(positions.shape) if mask is None else np.reshape(mask, positions.shape)
+    mask = np.ones((batch, seq_len)) if mask is None else np.reshape(mask, (batch, seq_len))
     bias = Tensor(np.zeros(c_out)) if bias is None else bias
-    out = ad.token_conv(ad.reshape(x, (batch * seq_len, c_in)), [kernel], [bias], positions, mask)
+    out = ad.token_conv(ad.reshape(x, (batch * seq_len, c_in)), [kernel], [bias], None, mask)
     return ad.reshape(out, x.shape[:-1] + (c_out,))
 
 
@@ -491,6 +490,76 @@ def test_token_conv_rounds_add_each_position_once():
     assert at.tolist() == [6, 1, 0, 5, 2, 4] and sizes.tolist() == [3, 2, 1]
     at, sizes = ad._occurrence_rounds(np.array([9, 9]), 9)
     assert at.size == 0 and sizes.size == 0
+
+
+def positions_inputs(widths, lengths, seq_len, seed=0):
+    """A [B*S, 3] table of positions, kernels of the given widths, their
+    biases and the mask of the given valid lengths."""
+    rng = np.random.default_rng(seed)
+    mask = (np.arange(seq_len) < np.array(lengths)[:, None]).astype(np.float64)
+    table = rand(rng, mask.size, 3)
+    return table, [rand(rng, k, 3, 2) for k in widths], [rand(rng, 2) for _ in widths], mask
+
+
+def positions_and_ids(table, kernels, biases, mask):
+    """token_conv's output and its table, kernel and bias gradients, with
+    ids None and then with ids the positions, arange(B*S).reshape(B, S)."""
+    weights = Tensor(np.random.default_rng(9).standard_normal(mask.shape + (2 * len(kernels),)))
+    results, n = [], len(kernels)
+    for ids in (None, np.arange(mask.size).reshape(mask.shape)):
+        leaves = [Tensor(p.data, requires_grad=True) for p in [table, *kernels, *biases]]
+        out = ad.token_conv(leaves[0], leaves[1:1 + n], leaves[1 + n:], ids, mask)
+        ad.backward(sum_(ad.mul(out, weights)))
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    return results
+
+
+POSITION_WIDTHS = [(k,) for k in range(1, 9)] + [(1, 2, 3, 4), (5, 6, 7, 8)]
+
+
+@pytest.mark.parametrize("seq_len", [3, 7])
+@pytest.mark.parametrize("widths", POSITION_WIDTHS, ids=str)
+def test_token_conv_positions_are_the_position_ids_bit_for_bit(widths, seq_len):
+    # unpadded, ids None runs the same GEMMs and the same additions in the
+    # same order as ids = the positions; at seq_len 3 kernels of width 7 and 8
+    # reach past twice the sequence, so some taps read nothing inside it
+    by_position, by_id = positions_and_ids(*positions_inputs(widths, [seq_len] * 3, seq_len))
+    for a, b in zip(by_position, by_id):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("widths", [(1,), (3,), (2, 3, 4), (7, 8)], ids=str)
+def test_token_conv_positions_of_a_ragged_batch(widths):
+    # padded, ids None projects every row (masked ones as zero) where ids
+    # project the unmasked rows only, so they agree to rounding; a masked
+    # position's output is exactly zero, and its row gets zero gradient
+    table, kernels, biases, mask = positions_inputs(widths, [6, 4, 1, 0], 6, seed=1)
+    table.data[mask.reshape(-1) == 0] = np.nan      # never read: a masked row is a zero vector
+    (out, *grads), (out_ids, *grads_ids) = positions_and_ids(table, kernels, biases, mask)
+    assert_close(out, out_ids)
+    for g, g_ids in zip(grads, grads_ids):
+        assert_close(g, g_ids)
+    assert np.all(out[mask == 0] == 0.0)
+    assert np.all(grads[0][mask.reshape(-1) == 0] == 0.0)
+
+
+@pytest.mark.parametrize("lengths", [[5, 5], [5, 2]], ids=["unpadded", "padded"])
+def test_grad_token_conv_positions(lengths):
+    table, kernels, biases, mask = positions_inputs((1, 2, 3, 4), lengths, 5, seed=2)
+    weights = Tensor(np.random.default_rng(3).standard_normal(mask.shape + (8,)))
+    params = {"table": table, **{f"kernel{i}": k for i, k in enumerate(kernels)},
+              **{f"bias{i}": b for i, b in enumerate(biases)}}
+    fd(lambda: sum_(ad.mul(ad.token_conv(table, kernels, biases, None, mask), weights)), params)
+
+
+def test_token_conv_positions_errors():
+    table, kernels, biases, mask = positions_inputs((2, 3), [4, 2], 4)
+    with pytest.raises(ad.ContractError, match="response table"):
+        ad.token_conv(table, kernels, biases, None, mask, ad.token_responses(table, kernels))
+    with pytest.raises(ad.DimensionError, match="8 table rows"):
+        ad.token_conv(table, kernels, biases, None, mask[:, :-1])
+    with pytest.raises(ad.DimensionError, match=r"mask \(8,\)"):
+        ad.token_conv(table, kernels, biases, None, mask.reshape(-1))
 
 
 def test_token_conv_errors():

@@ -82,6 +82,23 @@ def test_gendata_writes_run_manifest(tmp_path, capsys):
     assert "outputs" in manifest and "artifact_version" in manifest
 
 
+def test_a_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    # the manifest is written beside itself and swapped in whole: a write
+    # that fails part-way leaves the old bytes and no temporary file
+    path = cli._write_manifest(tmp_path, "gendata", {"seed": 1}, {}, {})
+    before = path.read_bytes()
+
+    def fails_part_way(obj, fh, **kwargs):
+        fh.write('{"artifact_version": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", fails_part_way)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_manifest(tmp_path, "gendata", {"seed": 2}, {}, {})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_gendata_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"depth": 2, "branching": 3, "docs_per_label": 2,

@@ -128,6 +128,27 @@ def test_build_vocab_from_file_shares_the_record_check(tmp_path):
         dataio.build_vocab_from_file(path)
 
 
+def test_load_training_corpus_decodes_each_line_once(tmp_path, monkeypatch):
+    # the vocabulary and documents of build_vocab_from_file then load_corpus,
+    # from one read of the file
+    records = [{"token": ["b", "a", "a"], "label": ["a", "a1"]}, {"token": ["c", "a"], "label": ["b"]}]
+    path = write_corpus(tmp_path, records)
+    expected = dataio.build_vocab_from_file(path)
+    expected_docs = load_corpus(path, expected, TAX)
+    decoded = []
+    original = json.loads
+    monkeypatch.setattr(dataio.json, "loads", lambda line: decoded.append(line) or original(line))
+    vocab, docs = dataio.load_training_corpus(path, TAX)
+    assert vocab.token_to_id == expected.token_to_id and docs == expected_docs
+    assert len(decoded) == len(records)
+
+
+def test_load_training_corpus_reports_a_record_error_before_any_label_error(tmp_path):
+    path = write_corpus(tmp_path, [{"token": ["x"], "label": ["nope"]}, {"token": "xyz"}])
+    with pytest.raises(DataError, match=":2: token field"):
+        dataio.load_training_corpus(path, TAX)
+
+
 def test_malformed_json_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"token": ["x"], "label": ["a"]}\nnot json\n', encoding="utf-8")
