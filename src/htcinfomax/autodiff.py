@@ -508,6 +508,22 @@ def _shift_taps(out: np.ndarray, table: np.ndarray, spans):
             out[:, lo:hi] += table[:, lo + d:hi + d, t * c_out:(t + 1) * c_out]
 
 
+def _tap_grads(g: np.ndarray, branches, width: int) -> np.ndarray:
+    """The adjoint of `_shift_taps` over `token_conv`'s branches: their
+    output gradient g laid out per position, [B*S, width], as the
+    `token_conv` docstring describes."""
+    batch, seq_len, _ = g.shape
+    dy = np.empty((batch, seq_len, width))
+    for kernel, _, cols, chans, spans in branches:
+        c_out = kernel.shape[2]
+        for t, d, lo, hi in spans:      # output rows lo..hi-1 read lo+d..hi+d-1 (lo+d >= 0)
+            block = dy[:, :, cols.start + t * c_out:cols.start + (t + 1) * c_out]
+            block[:, :lo + d] = 0.0
+            block[:, lo + d:hi + d] = g[:, lo:hi, chans]
+            block[:, hi + d:] = 0.0
+    return dy.reshape(batch * seq_len, width)
+
+
 def _check_taps(embedding: Tensor, kernels: Sequence[Tensor]) -> tuple[int, int]:
     """Check the table and kernel shapes; returns (sum of k, the C_out that
     every kernel shares)."""
@@ -589,19 +605,22 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     Each branch sums its taps in a contiguous [B, S, C_out] buffer, the
     centre tap first, then the others in ascending t, then adds its bias on
     the way into its channels of the output.  Every kernel shares one
-    C_out.  With ids None the table covers every position, its masked rows
-    zero, and each tap adds a shifted slice of it (`_shift_taps`).  With
-    ids the rows are the distinct ids at unmasked positions, and each tap
-    is gathered (`_sum_taps`).  `responses` (`token_responses`, tap-major,
-    read by ids only) covers every table row, so the responses a batch
-    reads do not depend on the other tokens of its batch; it is a constant,
-    so the output then records no graph, whatever the grad mode.
+    C_out.  With ids None the rows are the unmasked positions (all of E in
+    place when none is masked), their responses laid into a [B*S, k*C_out]
+    table whose masked rows are zero, and each tap adds a shifted slice of
+    it (`_shift_taps`).  With ids the rows are the distinct ids at unmasked
+    positions, and each tap is gathered (`_sum_taps`).  `responses`
+    (`token_responses`, tap-major, read by ids only) covers every table
+    row, so the responses a batch reads do not depend on the other tokens
+    of its batch; it is a constant, so the output then records no graph,
+    whatever the grad mode.
 
     The backward lays the output gradient out per position, [B, S, sum of
     k*C_out]: block t of a branch at s is the gradient of the output at
-    s - t + left, zero where that lies outside the sequence.  With ids None
-    that is dR, the table rows' gradient, itself; with ids it is summed per
-    distinct row in `_occurrence_rounds`.
+    s - t + left, zero where that lies outside the sequence (`_tap_grads`).
+    With ids None its rows at the unmasked positions are dR, the table
+    rows' gradient; with ids it is summed per distinct row in
+    `_occurrence_rounds`.
     """
     valid = np.asarray(mask) != 0
     if ids is not None:
@@ -629,9 +648,15 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     padded = not valid.all()
     parents = (embedding, *kernels, *biases)
     if ids is None:
-        x = np.where(valid.reshape(-1, 1), embedding.data, 0.0) if padded else embedding.data
         w = _stacked_taps(kernels)
-        table, whole = (x @ w).reshape(batch, seq_len, width), True
+        if padded:      # project the unmasked rows only; the masked rows read zero
+            rows = np.flatnonzero(valid)
+            x, whole = embedding.data[rows], False
+            table = np.zeros((batch * seq_len, width))
+            table[rows] = x @ w
+        else:
+            x, whole, table = embedding.data, True, embedding.data @ w
+        table = table.reshape(batch, seq_len, width)
     elif responses is None:
         rows, inverse = np.unique(ids[valid], return_inverse=True)
         whole = rows.size == vocab         # then rows is every row: no copy of them
@@ -668,19 +693,11 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
 
     def back(g):        # recorded only without `responses`, where x and w are bound
         gm = g * valid[..., None] if padded else g
-        dy = np.empty((batch, seq_len, width))      # per position, each tap's output gradient
         for kernel, bias, cols, chans, spans in branches:
             _accum(bias, gm[:, :, chans].sum(axis=(0, 1)))
-            for t, d, lo, hi in spans:      # output rows lo..hi-1 read lo+d..hi+d-1 (lo+d >= 0)
-                block = dy[:, :, cols.start + t * c_out:cols.start + (t + 1) * c_out]
-                block[:, :lo + d] = 0.0
-                block[:, lo + d:hi + d] = gm[:, lo:hi, chans]
-                block[:, hi + d:] = 0.0
-        dy = dy.reshape(batch * seq_len, width)
+        dy = _tap_grads(gm, branches, width)
         if ids is None:
-            dr = dy
-            if padded:
-                dr[~valid.reshape(-1)] = 0.0
+            dr = dy[rows] if padded else dy
         else:
             # sum per distinct row, in rounds that each write distinct rows:
             # one gradient row per unmasked position, round after round; the
@@ -691,6 +708,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
             for n in sizes[1:]:
                 dr[flat[at[lo:lo + n]]] += dy[at[lo:lo + n]]
                 lo += n
+        del gm, dy      # a gathered dr is all that the GEMMs read
         if any(kernel.requires_grad for kernel, *_ in branches):
             dw = x.T @ dr
             for kernel, _, cols, _, _ in branches:

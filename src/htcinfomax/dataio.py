@@ -207,19 +207,25 @@ def build_vocab_from_file(path) -> Vocabulary:
 def iter_corpus(path, vocab: Vocabulary, tax: Taxonomy):
     """Map a JSON-lines corpus into documents of token ids and label ids,
     one line at a time as they are read (`_documents`)."""
-    return _documents(read_raw_corpus(path), path, vocab, tax)
+    return _documents(_labelled(path), path, vocab, tax)
+
+
+def _labelled(path):
+    """(line_number, tokens, label field) of each `read_raw_corpus` record:
+    all that `_documents` reads of it."""
+    for lineno, tokens, record in read_raw_corpus(path):
+        yield lineno, tokens, record.get("label")
 
 
 def _documents(records, path, vocab: Vocabulary, tax: Taxonomy):
-    """Map `read_raw_corpus` records of `path` into documents, one at a time.
+    """Map `_labelled` records of `path` into documents, one at a time.
 
     Unknown tokens become UNK; a missing, empty or non-list label field and
     unknown or root label names are data errors reported with the
     offending line number.
     """
     name_to_id = {name: i for i, name in enumerate(tax.labels)}
-    for lineno, tokens, record in records:
-        label_names = record.get("label")
+    for lineno, tokens, label_names in records:
         if not label_names:
             raise DataError(f"{path}:{lineno}: document has an empty label list")
         if not _is_strings(label_names):
@@ -243,7 +249,7 @@ def load_training_corpus(path, tax: Taxonomy) -> tuple[Vocabulary, list[Document
     """`build_vocab_from_file` and then `load_corpus` over it, from one read of
     the file: every line is decoded once, and every record check comes
     before any label check, as it does there."""
-    records = list(read_raw_corpus(path))
+    records = list(_labelled(path))
     vocab = build_vocab(tokens for _, tokens, _ in records)
     return vocab, list(_documents(records, path, vocab, tax))
 

@@ -84,8 +84,8 @@ class MIDiscriminator:
         Equal to masked_mean(conv2(h) + b2) with h = relu(conv1(x) + b1),
         zero on padded positions, so a document's result does not depend
         on how wide its batch was padded.  conv1 is a `token_conv` over the
-        rows of x read as the positions (ids None): the padded rows read as
-        zero vectors, and its output is zero there.  conv2 has no
+        rows of x read as the positions (ids None): the padded rows are not
+        projected and read as zero vectors, and its output is zero there.  conv2 has no
         activation, so the mean is taken first: tap t of conv2 sees h
         shifted by t - left, and the masked mean of that shifted h is one
         row of a [k, S] weight matrix times h.  The k shifted means, side

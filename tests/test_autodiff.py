@@ -530,15 +530,15 @@ def test_token_conv_positions_are_the_position_ids_bit_for_bit(widths, seq_len):
 
 @pytest.mark.parametrize("widths", [(1,), (3,), (2, 3, 4), (7, 8)], ids=str)
 def test_token_conv_positions_of_a_ragged_batch(widths):
-    # padded, ids None projects every row (masked ones as zero) where ids
-    # project the unmasked rows only, so they agree to rounding; a masked
-    # position's output is exactly zero, and its row gets zero gradient
+    # padded, ids None projects the unmasked rows only, as ids = the
+    # positions do, so the two agree bit for bit; a masked position's output
+    # is exactly zero, and its row gets zero gradient
     table, kernels, biases, mask = positions_inputs(widths, [6, 4, 1, 0], 6, seed=1)
     table.data[mask.reshape(-1) == 0] = np.nan      # never read: a masked row is a zero vector
-    (out, *grads), (out_ids, *grads_ids) = positions_and_ids(table, kernels, biases, mask)
-    assert_close(out, out_ids)
-    for g, g_ids in zip(grads, grads_ids):
-        assert_close(g, g_ids)
+    by_position, by_id = positions_and_ids(table, kernels, biases, mask)
+    for a, b in zip(by_position, by_id):
+        assert np.array_equal(a, b)
+    out, *grads = by_position
     assert np.all(out[mask == 0] == 0.0)
     assert np.all(grads[0][mask.reshape(-1) == 0] == 0.0)
 
