@@ -545,29 +545,28 @@ def _stacked_taps(kernels: Sequence[Tensor]) -> np.ndarray:
                            for k in kernels], axis=1)
 
 
-def _response_table(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w over two rows of zeros: +0.0, which masked positions read, then
-    -0.0, which sources outside the sequence read (`_sum_taps`)."""
-    table = np.empty((x.shape[0] + 2, w.shape[1]))
-    np.matmul(x, w, out=table[:-2])
-    table[-2] = 0.0
-    table[-1] = -0.0
+def _tap_table(x: np.ndarray, w: np.ndarray, c_out: int) -> np.ndarray:
+    """x @ w laid out tap-major, [sum of k, rows + 2, C_out], block t of
+    kernel j at index (sum of the earlier kernels' k) + t, over two rows of
+    zeros: +0.0, which masked positions read, then -0.0, which sources
+    outside the sequence read (`_sum_taps`).  Each tap's gather then reads
+    contiguous rows."""
+    rows, taps = x.shape[0], w.shape[1] // c_out
+    table = np.empty((taps, rows + 2, c_out))
+    table[:, :rows] = (x @ w).reshape(rows, taps, c_out).transpose(1, 0, 2)
+    table[:, rows] = 0.0
+    table[:, rows + 1] = -0.0
     return table
 
 
 def token_responses(embedding: Tensor, kernels: Sequence[Tensor]) -> np.ndarray:
-    """`token_conv`'s response table over every embedding row, tap-major:
-    [sum of k, R + 2, C_out], block t of kernel j at index (sum of the
-    earlier kernels' k) + t, each block E @ kernel[t] over the two zero
-    rows of `_response_table`, so that every tap's gather reads contiguous
-    rows.
+    """`token_conv`'s response table over every embedding row (`_tap_table`).
 
     A constant of the current parameters: inference computes it once for
     many batches, and it is stale after they change.
     """
-    taps, c_out = _check_taps(embedding, kernels)
-    table = _response_table(embedding.data, _stacked_taps(kernels))
-    return np.ascontiguousarray(table.reshape(table.shape[0], taps, c_out).transpose(1, 0, 2))
+    _, c_out = _check_taps(embedding, kernels)
+    return _tap_table(embedding.data, _stacked_taps(kernels), c_out)
 
 
 def _occurrence_rounds(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -605,22 +604,21 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
     Each branch sums its taps in a contiguous [B, S, C_out] buffer, the
     centre tap first, then the others in ascending t, then adds its bias on
     the way into its channels of the output.  Every kernel shares one
-    C_out.  With ids None the rows are the unmasked positions (all of E in
-    place when none is masked), their responses laid into a [B*S, k*C_out]
-    table whose masked rows are zero, and each tap adds a shifted slice of
-    it (`_shift_taps`).  With ids the rows are the distinct ids at unmasked
-    positions, and each tap is gathered (`_sum_taps`).  `responses`
-    (`token_responses`, tap-major, read by ids only) covers every table
-    row, so the responses a batch reads do not depend on the other tokens
-    of its batch; it is a constant, so the output then records no graph,
-    whatever the grad mode.
+    C_out.  With ids None and no position masked, R is E @ W in place,
+    [B, S, k*C_out], and each tap adds a shifted slice of it
+    (`_shift_taps`).  Otherwise the rows are the distinct ids at unmasked
+    positions (a padded batch of positions reads them as ids, arange(B*S)
+    as [B, S]), R is laid out tap-major (`_tap_table`), and each tap is
+    gathered (`_sum_taps`).  `responses` (`token_responses`, read by ids
+    only) is that table over every row, so the responses a batch reads do
+    not depend on the other tokens of its batch; it is a constant, so the
+    output then records no graph, whatever the grad mode.
 
     The backward lays the output gradient out per position, [B, S, sum of
     k*C_out]: block t of a branch at s is the gradient of the output at
     s - t + left, zero where that lies outside the sequence (`_tap_grads`).
-    With ids None its rows at the unmasked positions are dR, the table
-    rows' gradient; with ids it is summed per distinct row in
-    `_occurrence_rounds`.
+    With the positions in place that is dR, the table's gradient; with ids
+    it is summed per distinct row in `_occurrence_rounds`.
     """
     valid = np.asarray(mask) != 0
     if ids is not None:
@@ -646,31 +644,23 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         raise DimensionError(f"token_conv: {vocab} table rows are not the {batch}x{seq_len} "
                              f"positions of mask {valid.shape}")
     padded = not valid.all()
+    if ids is None and padded:      # gathered like ids: the unmasked positions only
+        ids = np.arange(batch * seq_len).reshape(batch, seq_len)
     parents = (embedding, *kernels, *biases)
-    if ids is None:
-        w = _stacked_taps(kernels)
-        if padded:      # project the unmasked rows only; the masked rows read zero
-            rows = np.flatnonzero(valid)
-            x, whole = embedding.data[rows], False
-            table = np.zeros((batch * seq_len, width))
-            table[rows] = x @ w
-        else:
-            x, whole, table = embedding.data, True, embedding.data @ w
-        table = table.reshape(batch, seq_len, width)
-    elif responses is None:
-        rows, inverse = np.unique(ids[valid], return_inverse=True)
-        whole = rows.size == vocab         # then rows is every row: no copy of them
-        x = embedding.data if whole else embedding.data[rows]
-        w = _stacked_taps(kernels)
-        table = _response_table(x, w)
-        blocks = [table[:, j:j + c_out] for j in range(0, width, c_out)]
-        pos = np.full(ids.shape, rows.size)
-        pos[valid] = inverse
-    else:
+    if responses is not None:
         if responses.shape != (taps, vocab + 2, c_out):
             raise DimensionError(f"token_conv: responses {responses.shape} do not cover "
                                  f"{taps} taps of {vocab} rows and {c_out} channels")
         blocks, pos, parents = responses, np.where(valid, ids, vocab), ()
+    elif ids is None:
+        x, w = embedding.data, _stacked_taps(kernels)
+        table = (x @ w).reshape(batch, seq_len, width)
+    else:
+        rows, inverse = np.unique(ids[valid], return_inverse=True)
+        x, w = embedding.data[rows], _stacked_taps(kernels)
+        blocks = _tap_table(x, w, c_out)
+        pos = np.full(ids.shape, rows.size)
+        pos[valid] = inverse
     branches = []       # (kernel, bias, its table columns, its output channels, tap spans)
     col = chan = 0
     for kernel, bias in zip(kernels, biases):
@@ -697,7 +687,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
             _accum(bias, gm[:, :, chans].sum(axis=(0, 1)))
         dy = _tap_grads(gm, branches, width)
         if ids is None:
-            dr = dy[rows] if padded else dy
+            dr = dy
         else:
             # sum per distinct row, in rounds that each write distinct rows:
             # one gradient row per unmasked position, round after round; the
@@ -715,7 +705,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
                 k, c_in, _ = kernel.shape
                 _accum(kernel, dw[:, cols].reshape(c_in, k, c_out).transpose(1, 0, 2))
         if embedding.requires_grad:
-            if whole:
+            if ids is None:
                 _accum(embedding, dr @ w.T)
             else:
                 _row_grad(embedding)[rows] += dr @ w.T

@@ -170,7 +170,7 @@ def _is_strings(value) -> bool:
 
 
 def read_raw_corpus(path):
-    """Yield (line_number, tokens, record) for each JSON-lines document.
+    """Yield (line_number, tokens, label field) for each JSON-lines document.
 
     A line must be UTF-8 text holding a JSON object whose `token` field is
     a non-empty list of strings; anything else is a DataError naming
@@ -197,7 +197,7 @@ def read_raw_corpus(path):
                 raise DataError(f"{path}:{lineno}: document has no tokens")
             if not _is_strings(tokens):
                 raise DataError(f"{path}:{lineno}: token field is not a list of strings")
-            yield lineno, tokens, record
+            yield lineno, tokens, record.get("label")
 
 
 def build_vocab_from_file(path) -> Vocabulary:
@@ -207,18 +207,11 @@ def build_vocab_from_file(path) -> Vocabulary:
 def iter_corpus(path, vocab: Vocabulary, tax: Taxonomy):
     """Map a JSON-lines corpus into documents of token ids and label ids,
     one line at a time as they are read (`_documents`)."""
-    return _documents(_labelled(path), path, vocab, tax)
-
-
-def _labelled(path):
-    """(line_number, tokens, label field) of each `read_raw_corpus` record:
-    all that `_documents` reads of it."""
-    for lineno, tokens, record in read_raw_corpus(path):
-        yield lineno, tokens, record.get("label")
+    return _documents(read_raw_corpus(path), path, vocab, tax)
 
 
 def _documents(records, path, vocab: Vocabulary, tax: Taxonomy):
-    """Map `_labelled` records of `path` into documents, one at a time.
+    """Map `read_raw_corpus` records of `path` into documents, one at a time.
 
     Unknown tokens become UNK; a missing, empty or non-list label field and
     unknown or root label names are data errors reported with the
@@ -249,7 +242,7 @@ def load_training_corpus(path, tax: Taxonomy) -> tuple[Vocabulary, list[Document
     """`build_vocab_from_file` and then `load_corpus` over it, from one read of
     the file: every line is decoded once, and every record check comes
     before any label check, as it does there."""
-    records = list(_labelled(path))
+    records = list(read_raw_corpus(path))
     vocab = build_vocab(tokens for _, tokens, _ in records)
     return vocab, list(_documents(records, path, vocab, tax))
 

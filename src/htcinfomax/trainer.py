@@ -584,12 +584,17 @@ def save_checkpoint(path, model: Model, optimizer: Adam,
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for block in blocks:
-            fh.write(block)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:        # written whole beside it, then swapped in: a failed write keeps the old one
+        with open(temp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for block in blocks:
+                fh.write(block)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 @contextlib.contextmanager

@@ -530,9 +530,9 @@ def test_token_conv_positions_are_the_position_ids_bit_for_bit(widths, seq_len):
 
 @pytest.mark.parametrize("widths", [(1,), (3,), (2, 3, 4), (7, 8)], ids=str)
 def test_token_conv_positions_of_a_ragged_batch(widths):
-    # padded, ids None projects the unmasked rows only, as ids = the
-    # positions do, so the two agree bit for bit; a masked position's output
-    # is exactly zero, and its row gets zero gradient
+    # padded, ids None reads the unmasked positions as ids = the positions
+    # do, so the two agree bit for bit; a masked position's output is
+    # exactly zero, and its row gets zero gradient
     table, kernels, biases, mask = positions_inputs(widths, [6, 4, 1, 0], 6, seed=1)
     table.data[mask.reshape(-1) == 0] = np.nan      # never read: a masked row is a zero vector
     by_position, by_id = positions_and_ids(table, kernels, biases, mask)
@@ -643,10 +643,14 @@ def test_borrowed_gradients_are_never_written(reverse, monkeypatch):
     # op outputs keep the first gradient they are handed without a copy;
     # here each of p, q and the table gets that gradient shared (add, twice)
     # or as a view (concat), then more contributions, which must make new
-    # arrays rather than write into the borrowed one (token_conv's rows too)
+    # arrays rather than write into the borrowed one; token_conv hands the
+    # table a whole gradient when its rows are the positions, and adds rows
+    # through ids into a copy of the one the table holds (in either order,
+    # the ids term runs between the other two)
     rng = np.random.default_rng(30)
     x, y, w = rand(rng, 3, 2), rand(rng, 3, 2), rand(rng, 2, 2)
-    weights = [Tensor(rng.standard_normal(shape)) for shape in ((3, 2), (3, 4), (1, 4, 2), (3, 2))]
+    weights = [Tensor(rng.standard_normal(shape))
+               for shape in ((3, 2), (3, 4), (1, 3, 2), (1, 4, 2), (3, 2))]
     kernel, bias, ids = Tensor(rng.standard_normal((2, 2, 2))), Tensor(np.zeros(2)), [[2, 0, 2, 1]]
 
     def f():
@@ -655,8 +659,9 @@ def test_borrowed_gradients_are_never_written(reverse, monkeypatch):
         terms = [
             sum_(ad.mul(ad.add(p, q), weights[0])),
             sum_(ad.mul(ad.concat([p, q], axis=1), weights[1])),
-            sum_(ad.mul(ad.token_conv(table, [kernel], [bias], ids, np.ones((1, 4))), weights[2])),
-            sum_(ad.mul(ad.add(table, q), weights[3])),
+            sum_(ad.mul(ad.token_conv(table, [kernel], [bias], None, np.ones((1, 3))), weights[2])),
+            sum_(ad.mul(ad.token_conv(table, [kernel], [bias], ids, np.ones((1, 4))), weights[3])),
+            sum_(ad.mul(ad.add(table, q), weights[4])),
         ]
         return functools.reduce(ad.add, terms[::-1] if reverse else terms)
 

@@ -717,6 +717,38 @@ def test_checkpoint_bytes_do_not_depend_on_where_the_run_writes(tmp_path):
     assert config.checkpoint_path is None and config.log_path is None
 
 
+def test_a_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    # the checkpoint is written beside itself and swapped in whole: a write
+    # that fails part-way leaves the old bytes and no temporary file
+    path = tmp_path / "m.ckpt"
+    save_fresh(path)
+    before = path.read_bytes()
+
+    class FailsInTheBody:
+        """A file whose fourth write (the first parameter block) fails."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 4:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(trainer, "open", lambda *args: FailsInTheBody(open(*args)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_fresh(path, Model(TAX, VOCAB, tiny_config(seed=4)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_checkpoint_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
