@@ -372,23 +372,24 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed without overflow."""
+    """log(1 + e^x), computed without overflow.  Its derivative, sigmoid(x),
+    is computed in the backward, so a call that records no graph (under
+    `no_grad`, or on a constant) does not compute it."""
     out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    s = _sigmoid_np(a.data)
 
-    def back(g, a=a, s=s):
-        _accum(a, g * s)
+    def back(g, a=a):
+        _accum(a, g * _sigmoid_np(a.data))
 
     return _make(out, (a,), back, "softplus")
 
 
 def logsigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(x)) = -softplus(-x); safe for any logit magnitude."""
+    """log(sigmoid(x)) = -softplus(-x); safe for any logit magnitude.  Its
+    derivative, sigmoid(-x), is computed in the backward, as in `softplus`."""
     out = np.minimum(a.data, 0.0) - np.log1p(np.exp(-np.abs(a.data)))
-    s = _sigmoid_np(-a.data)
 
-    def back(g, a=a, s=s):
-        _accum(a, g * s)
+    def back(g, a=a):
+        _accum(a, g * _sigmoid_np(-a.data))
 
     return _make(out, (a,), back, "logsigmoid")
 
@@ -474,36 +475,37 @@ def _tap_spans(k: int, seq_len: int) -> list[tuple[int, int, int, int]]:
             for t in range(k)]
 
 
-def _sum_taps(out: np.ndarray, scratch: np.ndarray, taps, pos: np.ndarray):
-    """out[b, s] = the sum over the k taps t of row pos[b, s + t - left] of
-    taps[t], a [rows, C_out] block, left = (k - 1) // 2: the centre tap
-    first, then the others in ascending t.  A source outside the sequence
-    reads the blocks' last row, all -0.0, which adds exactly nothing
-    (x + -0.0 is x for every float x), so each tap adds over whole
-    contiguous buffers: `out` and `scratch` are [B, S, C_out].  pos is
-    checked, so "clip" only spares `take` the copy of `out` that it makes
-    under the default "raise"."""
-    k = len(taps)
+def _sum_taps(out: np.ndarray, scratch: np.ndarray, taps, source: np.ndarray):
+    """out[b, s] = the sum over the k taps t of row source[b, s + t] of
+    taps[t], a [rows, C_out] block: the centre tap, t = (k - 1) // 2,
+    first, then the others in ascending t.  `source` holds each position's
+    row, [B, >= S + k - 1] with position s at column s + (k - 1) // 2; a
+    source outside the sequence reads the blocks' last row, all -0.0,
+    which adds exactly nothing (x + -0.0 is x for every float x), so each
+    tap adds over whole contiguous buffers: `out` and `scratch` are [B, S,
+    C_out].  Every branch of a call reads one `source` (`token_conv`).  It
+    is checked, so "clip" only spares `take` the copy of `out` that it
+    makes under the default "raise"."""
+    k, seq_len = len(taps), out.shape[1]
     left = (k - 1) // 2
-    batch, seq_len = pos.shape
-    source = np.full((batch, seq_len + k - 1), taps[0].shape[0] - 1)
-    source[:, left:left + seq_len] = pos
-    np.take(taps[left], pos, axis=0, out=out, mode="clip")
+    taps[left].take(source[:, left:left + seq_len], axis=0, out=out, mode="clip")
     for t in range(k):
         if t != left:
-            np.take(taps[t], source[:, t:t + seq_len], axis=0, out=scratch, mode="clip")
+            taps[t].take(source[:, t:t + seq_len], axis=0, out=scratch, mode="clip")
             out += scratch
 
 
-def _shift_taps(out: np.ndarray, table: np.ndarray, spans):
+def _shift_taps(out: np.ndarray, table: np.ndarray):
     """out[b, s] = the sum over the k taps t of block t of table[b, s + t -
     left], table [B, S, k*C_out] and out [B, S, C_out], in `_sum_taps`'
     order: the centre tap first, then the others in ascending t, each added
     as one shifted slice over the output rows its span reads inside the
     sequence (a source outside it would add -0.0, exactly nothing)."""
-    c_out, left = out.shape[2], (len(spans) - 1) // 2
+    c_out, seq_len = out.shape[2], out.shape[1]
+    k = table.shape[2] // c_out
+    left = (k - 1) // 2
     np.copyto(out, table[:, :, left * c_out:(left + 1) * c_out])
-    for t, d, lo, hi in spans:
+    for t, d, lo, hi in _tap_spans(k, seq_len):
         if t != left:
             out[:, lo:hi] += table[:, lo + d:hi + d, t * c_out:(t + 1) * c_out]
 
@@ -514,9 +516,9 @@ def _tap_grads(g: np.ndarray, branches, width: int) -> np.ndarray:
     `token_conv` docstring describes."""
     batch, seq_len, _ = g.shape
     dy = np.empty((batch, seq_len, width))
-    for kernel, _, cols, chans, spans in branches:
-        c_out = kernel.shape[2]
-        for t, d, lo, hi in spans:      # output rows lo..hi-1 read lo+d..hi+d-1 (lo+d >= 0)
+    for kernel, _, cols, chans in branches:
+        k, _, c_out = kernel.shape
+        for t, d, lo, hi in _tap_spans(k, seq_len):     # output rows lo..hi-1 read lo+d..hi+d-1
             block = dy[:, :, cols.start + t * c_out:cols.start + (t + 1) * c_out]
             block[:, :lo + d] = 0.0
             block[:, lo + d:hi + d] = g[:, lo:hi, chans]
@@ -651,7 +653,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         if responses.shape != (taps, vocab + 2, c_out):
             raise DimensionError(f"token_conv: responses {responses.shape} do not cover "
                                  f"{taps} taps of {vocab} rows and {c_out} channels")
-        blocks, pos, parents = responses, np.where(valid, ids, vocab), ()
+        blocks, parents = responses, ()
     elif ids is None:
         x, w = embedding.data, _stacked_taps(kernels)
         table = (x @ w).reshape(batch, seq_len, width)
@@ -659,31 +661,42 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         rows, inverse = np.unique(ids[valid], return_inverse=True)
         x, w = embedding.data[rows], _stacked_taps(kernels)
         blocks = _tap_table(x, w, c_out)
-        pos = np.full(ids.shape, rows.size)
-        pos[valid] = inverse
-    branches = []       # (kernel, bias, its table columns, its output channels, tap spans)
+    if ids is not None:
+        # each position's row, padded by the blocks' -0.0 row for the widest
+        # reach of any branch on either side: every branch slices its source
+        # from it (`_sum_taps`)
+        lead = max((k.shape[0] - 1) // 2 for k in kernels)
+        source = np.full((batch, lead + seq_len + max(k.shape[0] // 2 for k in kernels)),
+                         blocks.shape[1] - 1)
+        pos = source[:, lead:lead + seq_len]
+        if responses is None:
+            pos[:] = rows.size
+            pos[valid] = inverse
+        else:
+            pos[:] = np.where(valid, ids, vocab)
+        scratch = np.empty((batch, seq_len, c_out))
+    branches = []       # (kernel, bias, its table columns, its output channels)
     col = chan = 0
     for kernel, bias in zip(kernels, biases):
         k = kernel.shape[0]
-        branches.append((kernel, bias, slice(col, col + k * c_out), slice(chan, chan + c_out),
-                         _tap_spans(k, seq_len)))
+        branches.append((kernel, bias, slice(col, col + k * c_out), slice(chan, chan + c_out)))
         col, chan = col + k * c_out, chan + c_out
     out = np.empty((batch, seq_len, chan))       # one branch (the MI conv1) sums in it
     acc = out if len(branches) == 1 else np.empty((batch, seq_len, c_out))
-    if ids is not None:
-        scratch = np.empty((batch, seq_len, c_out))
-    for kernel, bias, cols, chans, spans in branches:
+    for kernel, bias, cols, chans in branches:
         if ids is None:
-            _shift_taps(acc, table[:, :, cols], spans)
+            _shift_taps(acc, table[:, :, cols])
         else:
-            _sum_taps(acc, scratch, blocks[cols.start // c_out:cols.stop // c_out], pos)
+            left = (kernel.shape[0] - 1) // 2
+            _sum_taps(acc, scratch, blocks[cols.start // c_out:cols.stop // c_out],
+                      source[:, lead - left:])
         np.add(acc, bias.data, out=out[:, :, chans])
     if padded:          # times 1.0 would change nothing
         out *= valid[..., None]
 
     def back(g):        # recorded only without `responses`, where x and w are bound
         gm = g * valid[..., None] if padded else g
-        for kernel, bias, cols, chans, spans in branches:
+        for kernel, bias, cols, chans in branches:
             _accum(bias, gm[:, :, chans].sum(axis=(0, 1)))
         dy = _tap_grads(gm, branches, width)
         if ids is None:
@@ -701,7 +714,7 @@ def token_conv(embedding: Tensor, kernels: Sequence[Tensor], biases: Sequence[Te
         del gm, dy      # a gathered dr is all that the GEMMs read
         if any(kernel.requires_grad for kernel, *_ in branches):
             dw = x.T @ dr
-            for kernel, _, cols, _, _ in branches:
+            for kernel, _, cols, _ in branches:
                 k, c_in, _ = kernel.shape
                 _accum(kernel, dw[:, cols].reshape(c_in, k, c_out).transpose(1, 0, 2))
         if embedding.requires_grad:

@@ -40,11 +40,28 @@ def zeros_param(shape, fill: float = 0.0) -> Tensor:
     return Tensor(np.full(shape, fill, dtype=np.float64), requires_grad=True)
 
 
-@dataclass
 class TextFeatures:
-    token_feats: Tensor      # [B, S, d_t], zero on masked positions (`ad.token_conv`)
-    pooled: Tensor           # [B, d_t], mask-aware mean over S
-    mask: np.ndarray         # [B, S] 0/1
+    """A batch's token features [B, S, d_t], zero on masked positions
+    (`ad.token_conv`), and its [B, S] 0/1 mask.
+
+    `pooled`, their [B, d_t] mask-aware mean over S, is read only by the
+    loss-weight gate, a training-only module, so it is computed when read:
+    an inference pass never computes it.
+    """
+
+    def __init__(self, *, token_feats: Tensor, mask: np.ndarray, pooled: Tensor | None = None):
+        self.token_feats = token_feats
+        self.mask = mask
+        self._pooled = pooled
+
+    @property
+    def pooled(self) -> Tensor:
+        """The `pooled` the constructor was given, or else `ad.masked_mean` of
+        the token features, computed at each read and never cached: a read
+        under `no_grad` records no graph, and a later read must."""
+        if self._pooled is not None:
+            return self._pooled
+        return ad.masked_mean(self.token_feats, self.mask)
 
 
 @dataclass
@@ -89,8 +106,7 @@ class TextEncoder:
         # document's features must not depend on how wide its batch was padded.
         feats = ad.relu(ad.token_conv(self.embedding, self.kernels, self.biases,
                                       batch.token_ids, batch.mask, responses))
-        pooled = ad.masked_mean(feats, batch.mask)
-        return TextFeatures(token_feats=feats, pooled=pooled, mask=batch.mask)
+        return TextFeatures(token_feats=feats, mask=batch.mask)
 
 
 class StructureEncoder:

@@ -58,6 +58,20 @@ def test_text_encoder_pooled_is_mean_over_valid_positions():
     assert np.allclose(tf.pooled.data[1], manual)
 
 
+def test_pooled_is_computed_at_each_read():
+    # a read under no_grad records nothing and keeps nothing: the next read,
+    # with recording on, has its graph back to the encoder's parameters
+    enc = make_text_encoder()
+    tf = enc(make_batch([[2, 3, 4], [5, 6]]))
+    with ad.no_grad():
+        quiet = tf.pooled
+    recorded = tf.pooled
+    assert not quiet.requires_grad and recorded.requires_grad
+    assert recorded is not quiet and np.array_equal(recorded.data, quiet.data)
+    ad.backward(sum_(recorded))
+    assert enc.embedding.grad is not None
+
+
 def test_text_encoder_padding_width_does_not_change_features():
     # same doc, alone vs padded next to a longer one
     enc = make_text_encoder()

@@ -592,6 +592,33 @@ def test_iter_predictions_records_no_graph_and_restores_recording():
     assert total.requires_grad
 
 
+def test_inference_computes_no_training_only_value(monkeypatch):
+    # the pooled text vector feeds only the loss-weight gate, and sigmoid(x)
+    # only the backward of softplus and logsigmoid: inference computes neither
+    model = Model(TAX, VOCAB, tiny_config())
+    batches = make_batches(tiny_docs(6), 2, 8, TAX)
+    calls = []
+
+    def counted(name):
+        real = getattr(ad, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("masked_mean", "_sigmoid_np"):
+        monkeypatch.setattr(ad, name, counted(name))
+    evaluate(batches, model)
+    for _ in iter_predictions(batches, model):
+        pass
+    assert calls == []
+    # a full-objective step pools once, for the gate, and its backward
+    # computes the derivatives (the gate's sigmoid op computes one forward)
+    total, _ = model.losses(batches[0], prior_seed=0)
+    assert [node.op for node in ad.topo_order(total)].count("masked_mean") == 1
+    assert calls.count("masked_mean") == 1
+    forward = calls.count("_sigmoid_np")
+    ad.backward(total)
+    assert calls.count("_sigmoid_np") > forward
+
+
 @pytest.mark.parametrize("flags", [{}, {"disable_mi": True}, {"disable_label_prior": True},
                                    {"disable_mi": True, "disable_label_prior": True}])
 @pytest.mark.parametrize("kernels", [(2, 3, 4), (1, 5), (3,)])
