@@ -97,9 +97,9 @@ def test_predict_over_a_permuted_input_gives_the_same_records_permuted(run, data
 def test_a_documents_probabilities_do_not_depend_on_its_batch(run, picks, batch_size):
     # the picked documents, repeats allowed, in batches of any size and so
     # padded to any width: each row equals that document's row in a batch
-    # of two copies of it.  Alone in its batch a document agrees only to a
-    # few ulps: numpy multiplies a one-row matrix by a matrix-vector product,
-    # which rounds otherwise than a matrix product of two or more rows
+    # of two copies of it.  Alone in its batch a document agrees only to
+    # rounding error: numpy multiplies a one-row matrix by a matrix-vector
+    # product, which rounds otherwise than a matrix product of two or more rows
     model, docs = run["model"], [run["docs"][i] for i in picks]
     batches = make_batches(docs, batch_size, model.config.max_len, model.tax)
     pairs = (probabilities(model, [doc, doc], 2)[0] for doc in docs)

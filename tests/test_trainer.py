@@ -610,7 +610,7 @@ def test_inference_computes_no_training_only_value(monkeypatch):
         pass
     assert calls == []
     # a full-objective step pools once, for the gate, and its backward
-    # computes the derivatives (the gate's sigmoid op computes one forward)
+    # computes the derivatives (a sigmoid op computes its value forward)
     total, _ = model.losses(batches[0], prior_seed=0)
     assert [node.op for node in ad.topo_order(total)].count("masked_mean") == 1
     assert calls.count("masked_mean") == 1
